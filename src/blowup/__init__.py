@@ -6,7 +6,7 @@ phase-space critical-point catalog, interface shooting, good-profile
 multiplicity scans, and the non-existence bounds for large sigma.
 """
 
-from .model import (BackwardShot, ForwardShot, Params, Profile, ProfileState,
+from .model import (BackwardShot, ForwardShot, Params, Profile,
                     explicit_interface_F0, explicit_profile_F0,
                     hyperbola_equilibrium, hyperbola_phi_max,
                     integral_identity_residual)
@@ -30,7 +30,7 @@ from .analysis import (cylinder_invariance_check, interface_origin_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Params", "ProfileState", "Profile", "ForwardShot", "BackwardShot",
+    "Params", "Profile", "ForwardShot", "BackwardShot",
     "explicit_profile_F0", "explicit_interface_F0", "hyperbola_equilibrium",
     "hyperbola_phi_max", "integral_identity_residual",
     "Event", "EventKind", "EventRecord", "IntegratorConfig",

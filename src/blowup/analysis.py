@@ -142,13 +142,14 @@ def phi_extremum(params: Params, xi1: float, check_tol: float = 1e-12) -> float:
 # monotone exclusion (ordered shots cannot cross early)
 # --------------------------------------------------------------------------
 
-def _first_hyp1_crossing(profile) -> Optional[float]:
-    params = profile.params
-    m, sigma = params.m, params.sigma
+def _first_phi_max_sample(profile) -> Optional[int]:
+    """Index of the first sample (ascending xi) on or above the phi-max
+    hyperbola, (m-1) xi^sigma f^(m-1) >= 1/m, or None if there is none."""
+    m, sigma = profile.params.m, profile.params.sigma
     lvl = (m - 1.0) * profile.xi ** sigma * np.maximum(profile.g, 0.0) \
         ** ((m - 1.0) / m) - 1.0 / m
     above = np.where(lvl >= 0.0)[0]
-    return float(profile.xi[above[0]]) if above.size else None
+    return int(above[0]) if above.size else None
 
 
 def monotone_exclusion_check(params: Params, a1: float,
@@ -166,16 +167,16 @@ def monotone_exclusion_check(params: Params, a1: float,
     if a2 is None and slope2 <= 0.0:
         raise ValueError("need either a2 > a1 or slope2 > 0")
     p1, _ = shoot_forward(params, a1, xi_max=xi_max, dense_dx=0.01,
-                          track_events=True)
+                          track_events=False)
     p2, _ = shoot_forward(params, a2 if a2 is not None else a1,
                           slope0=slope2, xi_max=xi_max, dense_dx=0.01,
-                          track_events=True)
-    c1 = _first_hyp1_crossing(p1)
-    c2 = _first_hyp1_crossing(p2)
+                          track_events=False)
+    c1 = _first_phi_max_sample(p1)
+    c2 = _first_phi_max_sample(p2)
     # the ordering claim is vacuous past the point where both have crossed
     limit = min(p1.xi[-1], p2.xi[-1])
     if c1 is not None and c2 is not None:
-        limit = min(limit, max(c1, c2))
+        limit = min(limit, max(p1.xi[c1], p2.xi[c2]))
     grid = np.linspace(0.0, limit, 2001)[1:]
     g1 = np.interp(grid, p1.xi, p1.g)
     g2 = np.interp(grid, p2.xi, p2.g)
@@ -253,17 +254,15 @@ def backward_crossing_bound_check(params: Params, xi0: float,
     """
     from .shooting import nonexistence_gap
     m, sigma = params.m, params.sigma
-    profile, _ = shoot_backward(params, xi0, dense_dx=0.01, track_events=True)
-    # crossing records live on the profile events only implicitly; rebuild
-    # from samples: the last downward crossing of Z = 1/m towards the axis
-    lvl = (m - 1.0) * profile.xi ** sigma \
-        * np.maximum(profile.g, 0.0) ** ((m - 1.0) / m) - 1.0 / m
-    above = np.where(lvl >= 0.0)[0]
-    if above.size == 0:
+    profile, _ = shoot_backward(params, xi0, dense_dx=0.01,
+                                track_events=False)
+    # the crossing is read off the samples: the last downward crossing of
+    # Z = 1/m towards the axis is the first sample above it in ascending xi
+    i = _first_phi_max_sample(profile)
+    if i is None:
         raise ValueError(f"backward shot from xi0={xi0} never reaches "
                          "the phi-max hyperbola")
-    i = int(above[0])          # samples ascend in xi: first above = last
-    xi_c = float(profile.xi[i])  # crossing in the backward sense
+    xi_c = float(profile.xi[i])
     f_c = float(profile.f[i])
     bound = ((m - 1.0) * params.h0 / sigma * xi_c) ** (2.0 / (m - 1.0))
     gap = nonexistence_gap(params)

@@ -8,9 +8,9 @@ hard cap on the number of steps with typed failures, and (iii) optional
 uniformly spaced dense samples merged into the returned trajectory so that
 quadrature over stored samples is accurate.
 
-Events are located by sign change over `event_samples` subintervals of each
-accepted step, then refined by bisection on the dense output until the event
-function is below `event_tol` (bisection rather than Newton: near the
+Events are located by sign change over EVENT_SAMPLES equal subintervals of
+each accepted step, then refined by bisection on the dense output until the
+event function is below `event_tol` (bisection rather than Newton: near the
 degenerate interface the relevant functions are extremely flat).
 """
 
@@ -40,12 +40,14 @@ __all__ = [
     "VanishKind",
 ]
 
+#: dense-output subintervals per accepted step on which event signs are read
+EVENT_SAMPLES = 8
+
 
 class EventKind(enum.Enum):
     GZERO = "g_zero"
     DG_ZERO = "dg_zero"
     HYP_PHI_MAX_CROSS = "hyperbola_phi_max_cross"
-    CYLINDER_CROSS = "cylinder_cross"
     STATE_BOUND = "state_bound"
     SECTION_CROSS = "section_cross"
 
@@ -81,7 +83,6 @@ class IntegratorConfig:
     first_step: Optional[float] = None
     max_steps: int = 10_000_000
     event_tol: float = 1e-12
-    event_samples: int = 8
     dense_dx: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -89,8 +90,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.event_samples < 1:
-            raise ValueError("event_samples must be >= 1")
 
 
 @dataclass
@@ -107,9 +106,6 @@ class IntegrationResult:
             if rec.terminal:
                 return rec
         return None
-
-    def events_of(self, kind: EventKind) -> List[EventRecord]:
-        return [rec for rec in self.events if rec.kind == kind]
 
 
 class IntegrationError(RuntimeError):
@@ -218,7 +214,7 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
         stop_t: Optional[float] = None
         step_hits: List[EventRecord] = []
         if events:
-            tt = np.linspace(t_old, t_new, cfg.event_samples + 1)
+            tt = np.linspace(t_old, t_new, EVENT_SAMPLES + 1)
             yy = dense(tt)
             for ev in events:
                 vals = _eval_event(ev, tt, yy)

@@ -25,10 +25,10 @@ import numpy as np
 
 __all__ = [
     "Params",
-    "ProfileState",
     "ForwardShot",
     "BackwardShot",
     "Profile",
+    "g_second_derivative",
     "rhs_g",
     "explicit_profile_F0",
     "explicit_interface_F0",
@@ -68,18 +68,6 @@ class Params:
     def alpha(self) -> float:
         """Temporal blow-up exponent 1/(m-1)."""
         return 1.0 / (self.m - 1.0)
-
-
-@dataclass(frozen=True)
-class ProfileState:
-    """A single profile sample in regularized variables: (xi, g, dg).
-
-    Recovering f and f' needs m, so those conversions live on Profile.
-    """
-
-    xi: float
-    g: float
-    dg: float
 
 
 @dataclass(frozen=True)
@@ -140,11 +128,22 @@ class Profile:
             fp = self.dg / (m * gpos ** ((m - 1.0) / m))
         return np.where(gpos > 0.0, fp, 0.0)
 
-    def state(self, i: int) -> ProfileState:
-        return ProfileState(float(self.xi[i]), float(self.g[i]), float(self.dg[i]))
-
     def nearest_index(self, xi0: float) -> int:
         return int(np.argmin(np.abs(self.xi - xi0)))
+
+
+def g_second_derivative(params: Params, xi, g):
+    """g'' = g_+^(1/m)/(m-1) - xi^sigma * g, with no domain check.
+
+    This is the one definition of the profile equation: rhs_g and the
+    integrator's right-hand side both evaluate it.  np.where keeps a scalar g
+    as a 0-d array; numpy raises a 0-d array to the power 0.5 (m = 2) with
+    sqrt but a numpy scalar with pow, and the two differ in the last bit, so
+    this form must not change.
+    """
+    m, sigma = params.m, params.sigma
+    gpos = np.where(np.asarray(g) > 0.0, g, 0.0)
+    return gpos ** (1.0 / m) / (m - 1.0) - np.asarray(xi) ** sigma * np.asarray(g)
 
 
 def rhs_g(params: Params, xi: float, g: float, clamp_tol: float = G_CLAMP_TOL):
@@ -156,9 +155,7 @@ def rhs_g(params: Params, xi: float, g: float, clamp_tol: float = G_CLAMP_TOL):
     g_arr = np.asarray(g, dtype=float)
     if np.any(g_arr < -clamp_tol):
         raise ValueError(f"g < -{clamp_tol:g} is outside the model domain (g={g})")
-    gpos = np.maximum(g_arr, 0.0)
-    m, sigma = params.m, params.sigma
-    out = gpos ** (1.0 / m) / (m - 1.0) - np.asarray(xi, dtype=float) ** sigma * g_arr
+    out = g_second_derivative(params, np.asarray(xi, dtype=float), g_arr)
     return out if out.ndim else float(out)
 
 

@@ -13,14 +13,17 @@ with a new time variable eta defined by d(eta)/d(xi) = f^(-(m-1)/2)/sqrt(m(m-1))
     Z' = Z * ((m-1)*Y + sigma*X)
 
 restricted to the quadrant X >= 0, Z >= 0.  An alternative polynomial system
-in x = f^(m-1), y = f^(m-2) f', z = xi (with d(xi)/d(eta) = m*x) is kept for
-cross-checks:
+in x = f^(m-1), y = f^(m-2) f', z = xi (with d(xi)/d(eta) = m*x),
 
     x' = m(m-1) x y
     y' = -m y^2 + x/(m-1) - z^sigma x^2
-    z' = m x
+    z' = m x,
 
-This module owns both vector fields, the analytic Jacobian, the nine-point
+is kept only as the pointwise field vf_alt, which the tests use to
+cross-check the main system; nothing integrates it.
+
+This module owns the main vector field (one definition, shared by vf_main
+and the integrator's main_rhs), the analytic Jacobian, the nine-point
 critical-point catalog with closed-form eigendata, the invariant cylinder
 Y^2 = 2/(m+1) - Z/m and its outward flux, the fold-Hopf normal form of the
 nonhyperbolic point P3 = (0,0,1), and the Poincare-section spiral diagnostic
@@ -46,7 +49,6 @@ __all__ = [
     "vf_main",
     "vf_alt",
     "main_rhs",
-    "alt_rhs",
     "to_phase",
     "from_phase",
     "jacobian_main",
@@ -97,13 +99,15 @@ class AltPhaseState:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
-def vf_main(params: Params, s: PhaseState) -> Tuple[float, float, float]:
-    """Right-hand side of the main (X, Y, Z) system."""
-    m, sigma = params.m, params.sigma
-    X, Y, Z = s.X, s.Y, s.Z
+def _main_field(m: float, sigma: float, X, Y, Z) -> Tuple:
     return (0.5 * (m - 1.0) * X * Y - X * X,
             -0.5 * (m + 1.0) * Y * Y + 1.0 - Z,
             Z * ((m - 1.0) * Y + sigma * X))
+
+
+def vf_main(params: Params, s: PhaseState) -> Tuple[float, float, float]:
+    """Right-hand side of the main (X, Y, Z) system."""
+    return _main_field(params.m, params.sigma, s.X, s.Y, s.Z)
 
 
 def main_rhs(params: Params) -> Callable:
@@ -111,10 +115,7 @@ def main_rhs(params: Params) -> Callable:
     m, sigma = params.m, params.sigma
 
     def rhs(_eta, y):
-        X, Y, Z = y[0], y[1], y[2]
-        return np.array([0.5 * (m - 1.0) * X * Y - X * X,
-                         -0.5 * (m + 1.0) * Y * Y + 1.0 - Z,
-                         Z * ((m - 1.0) * Y + sigma * X)])
+        return np.array(_main_field(m, sigma, y[0], y[1], y[2]))
 
     return rhs
 
@@ -126,20 +127,6 @@ def vf_alt(params: Params, s: AltPhaseState) -> Tuple[float, float, float]:
     return (m * (m - 1.0) * x * y,
             -m * y * y + x / (m - 1.0) - z ** sigma * x * x,
             m * x)
-
-
-def alt_rhs(params: Params) -> Callable:
-    m, sigma = params.m, params.sigma
-
-    def rhs(_eta, v):
-        x, y, z = v[0], v[1], v[2]
-        zpow = np.where(np.asarray(z) > 0.0, np.asarray(z), 0.0) ** sigma \
-            if sigma > 0.0 else np.ones_like(np.asarray(z, dtype=float))
-        return np.array([m * (m - 1.0) * x * y,
-                         -m * y * y + x / (m - 1.0) - zpow * x * x,
-                         m * x])
-
-    return rhs
 
 
 def to_phase(params: Params, xi: float, f: float, fprime: float) -> PhaseState:

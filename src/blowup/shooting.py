@@ -19,11 +19,9 @@ interface there is unique, so the slope is a well-defined function of xi0.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +29,7 @@ from .integrate import (Event, EventKind, EventRecord, IntegrationError,
                         IntegratorConfig, IntegrationResult, VanishKind,
                         classify_vanish, integrate)
 from .model import (BackwardShot, ForwardShot, Params, Profile,
-                    integral_identity_residual, rhs_g)
+                    g_second_derivative, integral_identity_residual, rhs_g)
 
 __all__ = [
     "Interface",
@@ -75,8 +73,10 @@ G_CEILING = 1e9
 
 DEFAULT_XI_MAX = 1e3
 DEFAULT_SLOPE_TOL = 1e-6
-#: |f'(0)| below this counts as a flat axis start when classifying extrema
-ORIGIN_FLAT_TOL = 1e-5
+#: |f'(0)| below this counts as a flat axis start when classifying extrema;
+#: it must not be tighter than the loosest slope_tol a search uses, or a
+#: sigma = 0 root whose bisection stopped at f'(0) < 0 loses its maximum
+ORIGIN_FLAT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -147,49 +147,29 @@ def _series_dg(params: Params, g: float) -> float:
 
 
 def profile_rhs(params: Params):
-    m, sigma = params.m, params.sigma
+    """rhs(xi, (g, dg)) of the first-order profile system, for the integrator."""
 
     def rhs(xi, y):
-        g = y[0]
-        gpos = np.where(np.asarray(g) > 0.0, g, 0.0)
-        return np.array([y[1],
-                         gpos ** (1.0 / m) / (m - 1.0)
-                         - np.asarray(xi) ** sigma * np.asarray(g)])
+        return np.array([y[1], g_second_derivative(params, xi, y[0])])
 
     return rhs
 
 
-def _g_floor_event(floor) -> Event:
-    """Terminal handoff event at g = floor; floor may be a callable of xi.
+def _g_floor_event(floor: Callable) -> Event:
+    """Terminal handoff event at g = floor(xi).
 
     The floor must sit well below the oscillation minima of live profiles
     (which track the equilibrium hyperbola: g-scale ~ xi^(-m sigma/(m-1)))
     while staying above the integration-noise bounce near a true interface,
-    hence the xi-dependent variant built in _g_floor_fn.
+    hence the xi-dependent floor built in _g_floor_fn.
     """
-    if callable(floor):
-        return Event(EventKind.GZERO, lambda t, y: y[0] - floor(t),
-                     direction=-1, terminal=True)
-    return Event(EventKind.GZERO, lambda t, y: y[0] - floor,
+    return Event(EventKind.GZERO, lambda t, y: y[0] - floor(t),
                  direction=-1, terminal=True)
 
 
 def _dgzero_event() -> Event:
     return Event(EventKind.DG_ZERO, lambda t, y: y[1], direction=0,
                  terminal=False)
-
-
-def _hyp1_event(params: Params) -> Event:
-    m, sigma = params.m, params.sigma
-
-    def fn(t, y):
-        gpos = np.where(np.asarray(y[0]) > 0.0, y[0], 0.0)
-        tpos = np.asarray(t, dtype=float)
-        weight = np.where(tpos > 0.0, tpos, 0.0) ** sigma if sigma > 0.0 \
-            else np.ones_like(tpos)
-        return (m - 1.0) * weight * gpos ** ((m - 1.0) / m) - 1.0 / m
-
-    return Event(EventKind.HYP_PHI_MAX_CROSS, fn, direction=0, terminal=False)
 
 
 def _g_ceiling_event(gmax: float) -> Event:
@@ -353,8 +333,8 @@ def _resolve_vanish(params: Params, res: IntegrationResult, rhs, events,
         return Interface(xi0), None
 
     # transversal vanishing: cross g = 0 properly and classify there
-    cont_events = [_g_floor_event(0.0)] + [ev for ev in events
-                                           if not ev.terminal]
+    cont_events = [_g_floor_event(lambda t: 0.0)] + [ev for ev in events
+                                                     if not ev.terminal]
     try:
         res2 = integrate(rhs, [g_h, dg_h], (xi_h, t_end),
                          events=cont_events, config=cfg)
@@ -371,6 +351,57 @@ def _resolve_vanish(params: Params, res: IntegrationResult, rhs, events,
     return VerticalSlope(term2.t), res2
 
 
+def _shoot(params: Params, provenance: Union[ForwardShot, BackwardShot],
+           y0: Sequence[float], t_span: Tuple[float, float], g_start: float,
+           cfg: IntegratorConfig, track_events: bool,
+           at_end: Callable[[IntegrationResult], ShotOutcome],
+           origin: Optional[Tuple[float, float]] = None,
+           interface: Optional[float] = None) -> Tuple[Profile, ShotOutcome]:
+    """One shot of the profile ODE over t_span, assembled into a Profile.
+
+    The shot stops on the g-floor handoff (classified by _resolve_vanish), on
+    g passing G_CEILING or an integration failure (Diverged), or at the end of
+    the span, where at_end(result) gives the outcome.  origin is the axis
+    state (g, f') when the shot starts there; a ReachedOrigin outcome
+    supplies it otherwise.  interface defaults to that of an Interface
+    outcome.
+    """
+    rhs = profile_rhs(params)
+    events = [_g_floor_event(_g_floor_fn(params, g_start)),
+              _g_ceiling_event(G_CEILING)]
+    if track_events:
+        events.append(_dgzero_event())
+
+    res2 = None
+    try:
+        res = integrate(rhs, y0, t_span, events=events, config=cfg)
+    except IntegrationError as err:
+        if err.partial is None:
+            raise
+        outcome: ShotOutcome = Diverged(str(err))
+        res = err.partial
+    else:
+        term = res.terminal_event
+        if term is None:
+            outcome = at_end(res)
+        elif term.kind is EventKind.STATE_BOUND:
+            outcome = Diverged("g exceeded ceiling")
+        else:
+            outcome, res2 = _resolve_vanish(params, res, rhs, events, cfg,
+                                            t_span[1])
+
+    t, y, records = _merge(res, res2)
+    if isinstance(outcome, ReachedOrigin):
+        origin = (float(y[np.argmin(t), 0]), outcome.slope)
+    if interface is None and isinstance(outcome, Interface):
+        interface = outcome.xi0
+    origin_g, origin_slope = origin or (None, None)
+    maxima, minima = _extrema(params, records, origin_g, origin_slope)
+    profile = _build_profile(params, t, y, provenance, maxima, minima,
+                             interface, origin_slope)
+    return profile, outcome
+
+
 def shoot_forward(params: Params, a: float, xi_max: float = DEFAULT_XI_MAX,
                   slope0: float = 0.0,
                   config: Optional[IntegratorConfig] = None,
@@ -379,9 +410,9 @@ def shoot_forward(params: Params, a: float, xi_max: float = DEFAULT_XI_MAX,
                   ) -> Tuple[Profile, ShotOutcome]:
     """Integrate from the axis with f(0) = a, f'(0) = slope0 (default 0).
 
-    Records interior extrema and crossings of the phi-max hyperbola, stops on
-    vanishing g (classified interface / vertical slope), on g blowing past
-    G_CEILING (Diverged), or at xi_max (Exhausted).
+    Records interior extrema, stops on vanishing g (classified interface /
+    vertical slope), on g blowing past G_CEILING (Diverged), or at xi_max
+    (Exhausted).
     """
     if a <= 0.0 or xi_max <= 0.0:
         raise ValueError("need a > 0 and xi_max > 0")
@@ -395,37 +426,9 @@ def shoot_forward(params: Params, a: float, xi_max: float = DEFAULT_XI_MAX,
     if dense_dx is not None and cfg.dense_dx is None:
         cfg = replace(cfg, dense_dx=dense_dx)
 
-    rhs = profile_rhs(params)
-    events = [_g_floor_event(_g_floor_fn(params, g0)),
-              _g_ceiling_event(G_CEILING)]
-    if track_events:
-        events += [_dgzero_event(), _hyp1_event(params)]
-
-    try:
-        res = integrate(rhs, [g0, dg0], (0.0, xi_max), events=events, config=cfg)
-    except IntegrationError as err:
-        if err.partial is None:
-            raise
-        outcome: ShotOutcome = Diverged(str(err))
-        res = err.partial
-        res2 = None
-    else:
-        term = res.terminal_event
-        res2 = None
-        if term is None:
-            outcome = Exhausted(xi_max)
-        elif term.kind is EventKind.STATE_BOUND:
-            outcome = Diverged("g exceeded ceiling")
-        else:
-            outcome, res2 = _resolve_vanish(params, res, rhs, events, cfg, xi_max)
-
-    t, y, records = _merge(res, res2)
-    slope_origin = float(slope0)
-    maxima, minima = _extrema(params, records, g0, slope_origin)
-    interface = outcome.xi0 if isinstance(outcome, Interface) else None
-    profile = _build_profile(params, t, y, ForwardShot(a, slope0),
-                             maxima, minima, interface, slope_origin)
-    return profile, outcome
+    return _shoot(params, ForwardShot(a, slope0), [g0, dg0], (0.0, xi_max),
+                  g0, cfg, track_events, lambda res: Exhausted(xi_max),
+                  origin=(g0, float(slope0)))
 
 
 def shoot_backward(params: Params, xi0: float, epsilon: Optional[float] = None,
@@ -453,44 +456,16 @@ def shoot_backward(params: Params, xi0: float, epsilon: Optional[float] = None,
     if dense_dx is not None and cfg.dense_dx is None:
         cfg = replace(cfg, dense_dx=dense_dx)
 
-    rhs = profile_rhs(params)
-    events = [_g_floor_event(_g_floor_fn(params, np.inf)),
-              _g_ceiling_event(G_CEILING)]
-    if track_events:
-        events += [_dgzero_event(), _hyp1_event(params)]
+    def at_axis(res: IntegrationResult) -> ShotOutcome:
+        g_end, dg_end = float(res.y[-1, 0]), float(res.y[-1, 1])
+        if g_end <= 0.0:
+            raise SlopeUnreliable(
+                f"backward shot from xi0={xi0} reached the axis with g <= 0")
+        return ReachedOrigin(g_end ** (1.0 / params.m),
+                             _slope_from_state(params, g_end, dg_end))
 
-    try:
-        res = integrate(rhs, [g0, dg0], (xi0 - eps, 0.0), events=events,
-                        config=cfg)
-    except IntegrationError as err:
-        if err.partial is None:
-            raise
-        outcome: ShotOutcome = Diverged(str(err))
-        res = err.partial
-        res2 = None
-    else:
-        term = res.terminal_event
-        res2 = None
-        if term is None:
-            g_end, dg_end = float(res.y[-1, 0]), float(res.y[-1, 1])
-            if g_end <= 0.0:
-                raise SlopeUnreliable(
-                    f"backward shot from xi0={xi0} reached the axis with g <= 0")
-            outcome = ReachedOrigin(g_end ** (1.0 / params.m),
-                                    _slope_from_state(params, g_end, dg_end))
-        elif term.kind is EventKind.STATE_BOUND:
-            outcome = Diverged("g exceeded ceiling")
-        else:
-            outcome, res2 = _resolve_vanish(params, res, rhs, events, cfg, 0.0)
-
-    t, y, records = _merge(res, res2)
-    slope_origin = outcome.slope if isinstance(outcome, ReachedOrigin) else None
-    origin_g = float(y[np.argmin(t), 0]) if isinstance(outcome, ReachedOrigin) \
-        else None
-    maxima, minima = _extrema(params, records, origin_g, slope_origin)
-    profile = _build_profile(params, t, y, BackwardShot(xi0, eps),
-                             maxima, minima, xi0, slope_origin)
-    return profile, outcome
+    return _shoot(params, BackwardShot(xi0, eps), [g0, dg0], (xi0 - eps, 0.0),
+                  np.inf, cfg, track_events, at_axis, interface=xi0)
 
 
 def slope_fn(params: Params, xi0: float, epsilon_rel: float = EPS_REL,
@@ -583,13 +558,7 @@ def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
         raise ValueError("grid_n must be >= 2")
 
     grid = np.linspace(xi0_lo, xi0_hi, grid_n)
-    n_workers = _num_threads()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            raw = list(pool.map(lambda x: _try_slope(params, x, config), grid))
-    else:
-        raw = [_try_slope(params, x, config) for x in grid]
-    slopes = list(raw)
+    slopes = [_try_slope(params, x, config) for x in grid]
     n_bad = sum(1 for s in slopes if s is None)
     if n_bad:
         warnings.warn(f"{n_bad} unreliable slope evaluation(s) on the grid")
@@ -647,13 +616,6 @@ def _bisect_slope(params: Params, x_lo: float, x_hi: float, s_lo: float,
     return None
 
 
-def _num_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BLOWUP_NUM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # --------------------------------------------------------------------------
 # scans and the non-existence gap
 # --------------------------------------------------------------------------
@@ -675,7 +637,8 @@ def multiplicity_scan(m: float, sigmas: Sequence[float], xi0_hi: float,
     """Good-profile counts per sigma over (0, xi0_hi].
 
     The count is a lower bound (window- and grid-limited).  Rows are sorted
-    by sigma; per-sigma failures are recorded and the scan continues.
+    by sigma; per-sigma numerical failures and invalid parameters are
+    recorded and the scan continues.  Anything else is a bug and propagates.
     """
     rows: List[ScanRow] = []
     for sigma in sorted(sigmas):
@@ -687,7 +650,8 @@ def multiplicity_scan(m: float, sigmas: Sequence[float], xi0_hi: float,
             rows.append(ScanRow(sigma=float(sigma), count=len(found),
                                 xi0s=tuple(gp.xi0 for gp in found),
                                 n_maxs=tuple(gp.n_max for gp in found)))
-        except Exception as err:  # keep scanning the remaining sigmas
+        except (ValueError, IntegrationError, SlopeUnreliable,
+                FloatingPointError) as err:
             rows.append(ScanRow(sigma=float(sigma), count=0, xi0s=(),
                                 n_maxs=(), error=str(err)))
     return rows

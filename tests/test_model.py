@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from blowup.model import (ForwardShot, Params, Profile,
@@ -7,6 +9,7 @@ from blowup.model import (ForwardShot, Params, Profile,
                           hyperbola_equilibrium, hyperbola_phi_max,
                           integral_identity_residual, rhs_g,
                           weighted_g_square_integral)
+from blowup.shooting import profile_rhs
 
 
 class TestParams:
@@ -55,6 +58,19 @@ class TestRhsG:
     def test_rejects_negative_g(self):
         with pytest.raises(ValueError):
             rhs_g(Params(2.0, 1.0), 1.0, -1e-8)
+
+
+class TestOneProfileODE:
+    @settings(max_examples=1000, deadline=None)
+    @given(m=st.floats(1.01, 10.0), sigma=st.floats(0.0, 5.0),
+           xi=st.floats(0.0, 100.0), g=st.floats(0.0, 1e6),
+           dg=st.floats(-1e3, 1e3))
+    def test_rhs_g_is_the_integrator_rhs(self, m, sigma, xi, g, dg):
+        # bit for bit: the domain-checked and the integrator form are one
+        p = Params(m, sigma)
+        got = rhs_g(p, xi, g)
+        ref = profile_rhs(p)(xi, [g, dg])[1]
+        assert float(got).hex() == float(ref).hex()
 
 
 class TestExplicitProfile:

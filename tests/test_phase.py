@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup.model import Params, hyperbola_equilibrium, hyperbola_phi_max
 from blowup.phase import (AltPhaseState, PhaseState, critical_points,
                           cylinder_flux, cylinder_point, cylinder_value,
-                          from_phase, invariant_K, jacobian_main,
+                          from_phase, invariant_K, jacobian_main, main_rhs,
                           normal_form_p3, p2_outgoing_eigenvector,
                           p3_spiral_diagnostic, taylor_coeffs_p3, to_phase,
                           vf_alt, vf_main)
@@ -22,6 +24,16 @@ class TestVectorFields:
     def test_direct_value(self):
         dX, dY, dZ = vf_main(P21, PhaseState(1.0, 1.0, 1.0))
         assert (dX, dY, dZ) == pytest.approx((-0.5, -1.5, 2.0))
+
+    @settings(max_examples=500, deadline=None)
+    @given(m=st.floats(1.01, 10.0), sigma=st.floats(0.0, 5.0),
+           X=st.floats(0.0, 1e3), Y=st.floats(-1e3, 1e3),
+           Z=st.floats(0.0, 1e3))
+    def test_vf_main_is_the_integrator_rhs(self, m, sigma, X, Y, Z):
+        p = Params(m, sigma)
+        got = vf_main(p, PhaseState(X, Y, Z))
+        ref = main_rhs(p)(0.0, [X, Y, Z])
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in ref]
 
     def test_alt_critical_halfline(self):
         for z in (0.5, 1.0, 7.0):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,17 @@ class TestFindGoodProfiles:
         assert n_by_xi0[9.6] == 1
         assert n_by_xi0[15.4] == 2
 
+    def test_sigma0_root_kept_at_loose_slope_tol(self):
+        # bisection stops with |f'(0)| < 1e-4 on the f'(0) < 0 side; the flat
+        # concave axis start must still count as the profile's maximum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = find_good_profiles(Params(2, 0), 5.9, 6.9, grid_n=4,
+                                       slope_tol=1e-4)
+        assert len(found) == 1
+        assert found[0].xi0 == pytest.approx(2.0 * np.pi, abs=1e-3)
+        assert found[0].n_max == 1
+
     def test_empty_when_no_sign_change(self):
         found = find_good_profiles(Params(2.0, 4.0), 1.0, 10.0, grid_n=13)
         assert found == []
@@ -192,6 +205,11 @@ class TestMultiplicityScan:
         by_sigma = {r.sigma: r for r in rows}
         assert by_sigma[-1.0].error is not None
         assert by_sigma[0.0].error is None
+
+    def test_programming_error_propagates(self):
+        # only numerical failures and invalid parameters become error rows
+        with pytest.raises(TypeError):
+            multiplicity_scan(2.0, [0.0], None)
 
 
 class TestNonexistenceGap:
@@ -248,15 +266,6 @@ class TestGapImpliesEmpty:
         cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-12)
         found = find_good_profiles(params, 0.5, hi, grid_n=17, config=cfg)
         assert found == []
-
-
-class TestScanParallelism:
-    def test_thread_env_var_is_deterministic(self, monkeypatch):
-        seq = find_good_profiles(P201, 9.0, 11.0, grid_n=9)
-        monkeypatch.setenv("BLOWUP_NUM_THREADS", "4")
-        par = find_good_profiles(P201, 9.0, 11.0, grid_n=9)
-        assert [gp.xi0 for gp in seq] == [gp.xi0 for gp in par]
-        assert [gp.n_max for gp in seq] == [gp.n_max for gp in par]
 
 
 class TestMultiSigmaScan:
