@@ -49,9 +49,7 @@ class OrbitReport:
 
 def _norm_bound_event(bound: float) -> Event:
     return Event(EventKind.STATE_BOUND,
-                 lambda t, y: bound - np.maximum(np.abs(y[0]),
-                                                 np.maximum(np.abs(y[1]),
-                                                            np.abs(y[2]))),
+                 lambda t, y: bound - max(abs(y[0]), abs(y[1]), abs(y[2])),
                  direction=-1, terminal=True)
 
 

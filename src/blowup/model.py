@@ -136,27 +136,35 @@ def g_second_derivative(params: Params, xi, g):
     """g'' = g_+^(1/m)/(m-1) - xi^sigma * g, with no domain check.
 
     This is the one definition of the profile equation: rhs_g and the
-    integrator's right-hand side both evaluate it.  np.where keeps a scalar g
-    as a 0-d array; numpy raises a 0-d array to the power 0.5 (m = 2) with
-    sqrt but a numpy scalar with pow, and the two differ in the last bit, so
-    this form must not change.
+    integrator's right-hand side both evaluate it.  On floats (the
+    integrator's states, and scalar rhs_g calls) it runs as plain float
+    arithmetic, so both give the same bits; on numpy arrays g_+ is taken
+    with np.where.
     """
     m, sigma = params.m, params.sigma
-    gpos = np.where(np.asarray(g) > 0.0, g, 0.0)
-    return gpos ** (1.0 / m) / (m - 1.0) - np.asarray(xi) ** sigma * np.asarray(g)
+    if isinstance(g, np.ndarray):
+        gpos = np.where(g > 0.0, g, 0.0)
+    else:
+        gpos = g if g > 0.0 else 0.0
+    return gpos ** (1.0 / m) / (m - 1.0) - xi ** sigma * g
 
 
 def rhs_g(params: Params, xi: float, g: float, clamp_tol: float = G_CLAMP_TOL):
     """Second derivative g'' = g^(1/m)/(m-1) - xi^sigma * g.
 
     g slightly negative (|g| <= clamp_tol) is clamped to zero; more negative
-    values are a domain error.  Accepts array input for g/xi.
+    values are a domain error.  Accepts array input for g/xi; scalar input
+    is evaluated on floats, exactly as the integrator evaluates it.
     """
+    if np.ndim(g) == 0 and np.ndim(xi) == 0:
+        g, xi = float(g), float(xi)
+        if g < -clamp_tol:
+            raise ValueError(f"g < -{clamp_tol:g} is outside the model domain (g={g})")
+        return g_second_derivative(params, xi, g)
     g_arr = np.asarray(g, dtype=float)
     if np.any(g_arr < -clamp_tol):
         raise ValueError(f"g < -{clamp_tol:g} is outside the model domain (g={g})")
-    out = g_second_derivative(params, np.asarray(xi, dtype=float), g_arr)
-    return out if out.ndim else float(out)
+    return g_second_derivative(params, np.asarray(xi, dtype=float), g_arr)
 
 
 def explicit_profile_F0(m: float, xi) -> np.ndarray | float:
@@ -223,16 +231,30 @@ def _powm1(b: np.ndarray, s: float) -> np.ndarray:
     return np.where(b > 0.0, out, 0.0)
 
 
+#: Gauss-Legendre nodes and weights on [0, 1], exact for degree 7
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+_GL_NODES = 0.5 * (1.0 + _GL_NODES)
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+#: cells [a, a + h] with a > AXIS_CELLS * h use Gauss-Legendre, the rest
+#: exact moments of d(xi^sigma)
+AXIS_CELLS = 4.0
+
+
 def weighted_g_square_integral(params: Params, xi: np.ndarray, g: np.ndarray,
                                dg: np.ndarray) -> float:
     """sigma * int xi^(sigma-1) g(xi)^2 dxi over the sampled range.
 
     Evaluated as the Stieltjes integral int g^2 d(xi^sigma) with a cubic
     Hermite model of g^2 on each cell ((g^2)' = 2 g dg is available at the
-    nodes) integrated against exact moments of d(xi^sigma).  This handles the
-    xi^(sigma-1) endpoint singularity for sigma < 1 exactly, and at sigma = 0
-    reproduces the distributional limit g(0)^2 (unit mass at xi = 0) that the
-    identity requires.
+    nodes).  On cells near the axis (a <= AXIS_CELLS * h) the model is
+    integrated against exact moments of d(xi^sigma); this handles the
+    xi^(sigma-1) endpoint singularity for sigma < 1 exactly, and at
+    sigma = 0 reproduces the distributional limit g(0)^2 (unit mass at
+    xi = 0) that the identity requires.  On the other cells the weight
+    sigma xi^(sigma-1) is smooth, and the model in its Hermite basis form is
+    integrated by 4-point Gauss-Legendre: that form has no dG/h^3 terms and
+    no differences of xi^(sigma+k), so a very short cell far from the axis
+    adds no cancellation error.
     """
     s = params.sigma
     a = np.asarray(xi[:-1], dtype=float)
@@ -245,6 +267,23 @@ def weighted_g_square_integral(params: Params, xi: np.ndarray, g: np.ndarray,
     dG = 2.0 * g * dg
     Ga, Gb = G[:-1], G[1:]
     dGa, dGb = dG[:-1], dG[1:]
+
+    far = a > AXIS_CELLS * h
+    af, hf = a[far], h[far]
+    Gaf, Gbf, dGaf, dGbf = Ga[far], Gb[far], dGa[far], dGb[far]
+    total = 0.0
+    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+        h00 = (1.0 + 2.0 * x) * (1.0 - x) ** 2
+        h10 = x * (1.0 - x) ** 2
+        h01 = x * x * (3.0 - 2.0 * x)
+        h11 = x * x * (x - 1.0)
+        model = h00 * Gaf + h01 * Gbf + (h10 * dGaf + h11 * dGbf) * hf
+        total += w * float(np.sum(model * hf * (af + x * hf) ** (s - 1.0)))
+    total *= s
+
+    near = ~far
+    a, b, h = a[near], b[near], h[near]
+    Ga, Gb, dGa, dGb = Ga[near], Gb[near], dGa[near], dGb[near]
 
     # cubic Hermite coefficients in t = xi - a
     c0 = Ga
@@ -265,7 +304,7 @@ def weighted_g_square_integral(params: Params, xi: np.ndarray, g: np.ndarray,
     m2 = h * h * bs - 2.0 * n1
     m3 = h * h * h * bs - 3.0 * n2
 
-    return float(np.sum(c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3))
+    return total + float(np.sum(c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3))
 
 
 def integral_identity_residual(profile: Profile, xi0: float) -> float:

@@ -111,11 +111,11 @@ def vf_main(params: Params, s: PhaseState) -> Tuple[float, float, float]:
 
 
 def main_rhs(params: Params) -> Callable:
-    """Vectorizable rhs(eta, y) for the main system, for the integrator."""
+    """rhs(eta, y) -> (X', Y', Z') of the main system, for the integrator."""
     m, sigma = params.m, params.sigma
 
     def rhs(_eta, y):
-        return np.array(_main_field(m, sigma, y[0], y[1], y[2]))
+        return _main_field(m, sigma, y[0], y[1], y[2])
 
     return rhs
 
@@ -474,7 +474,7 @@ def p3_spiral_diagnostic(params: Params, start: PhaseState, turns: int,
     section = Event(EventKind.SECTION_CROSS, lambda t, y: y[1],
                     direction=-1, terminal=False)
     exit_ev = Event(EventKind.STATE_BOUND,
-                    lambda t, y: exit_bound - np.abs(y[1]),
+                    lambda t, y: exit_bound - abs(y[1]),
                     direction=-1, terminal=True)
     z_guard = Event(EventKind.STATE_BOUND,
                     lambda t, y: Z_DIVERGENCE_BOUND - y[2],

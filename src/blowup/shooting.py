@@ -150,7 +150,7 @@ def profile_rhs(params: Params):
     """rhs(xi, (g, dg)) of the first-order profile system, for the integrator."""
 
     def rhs(xi, y):
-        return np.array([y[1], g_second_derivative(params, xi, y[0])])
+        return (y[1], g_second_derivative(params, xi, y[0]))
 
     return rhs
 
@@ -196,8 +196,7 @@ def _g_floor_fn(params: Params, g_start: float):
     t_cut = (cap / k) ** (1.0 / expo)
 
     def floor(t):
-        t_arr = np.maximum(np.asarray(t, dtype=float), t_cut)
-        return np.minimum(cap, k * t_arr ** expo)
+        return min(cap, k * (t if t > t_cut else t_cut) ** expo)
 
     return floor
 

@@ -8,11 +8,11 @@ from blowup.model import Params
 
 
 def _decay(t, y):
-    return -y
+    return (-y[0],)
 
 
 def _oscillator(t, y):
-    return np.array([y[1], -y[0]])
+    return (y[1], -y[0])
 
 
 class TestBasicIntegration:
@@ -117,7 +117,7 @@ class TestFailures:
 
     def test_nonfinite_state(self):
         def blowup_rhs(t, y):
-            return y * y  # finite-time blow-up at t = 1
+            return (y[0] * y[0],)  # finite-time blow-up at t = 1
 
         with pytest.raises((NonFiniteState, Exception)):
             integrate(blowup_rhs, [1.0], (0.0, 2.0),
@@ -161,6 +161,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=-1.0)
         with pytest.raises(ValueError):
+            IntegratorConfig(abs_tol=0.0)  # a zero scale on a zero state
+        with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
 
 
@@ -169,3 +171,86 @@ class TestMaxStep:
         cfg = IntegratorConfig(max_step=0.05)
         res = integrate(_oscillator, [1.0, 0.0], (0.0, 3.0), config=cfg)
         assert np.max(np.diff(res.t)) <= 0.05 + 1e-12
+
+
+class TestScipyOracle:
+    """scipy's RK45 has the tableau and the step control of the owned
+    stepper, so it must take as many accepted steps along the same solution.
+
+    The step ends are compared loosely: a short step's error estimate is
+    mostly rounding, and scipy forms its stage sums with BLAS dot products
+    that round differently, so step sizes can differ in the 5th digit early
+    on and the ends drift apart by up to about 1e-6 (oscillator).  The
+    states, read at the same t, agree to rounding.
+    """
+
+    @staticmethod
+    def _scipy_rhs(rhs):
+        return lambda t, y: np.asarray(rhs(t, tuple(y)), dtype=float)
+
+    def _assert_same_steps(self, rhs, y0, t_span, cfg):
+        from scipy.integrate import solve_ivp
+        res = integrate(rhs, y0, t_span, config=cfg)
+        ref = solve_ivp(self._scipy_rhs(rhs), t_span,
+                        np.asarray(y0, dtype=float), method="RK45",
+                        rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=True)
+        assert ref.success
+        assert res.n_steps == len(ref.t) - 1
+        assert np.all(np.abs(res.t - ref.t)
+                      <= 1e-5 * np.maximum(1.0, np.abs(ref.t)))
+        y_ref = ref.sol(res.t).T
+        scale = np.max(np.abs(y_ref), axis=1, keepdims=True)
+        assert np.all(np.abs(res.y - y_ref) <= 1e-10 * scale)
+
+    def _assert_same_single_steps(self, rhs, y0, t_span, cfg):
+        # each step from scipy's accepted state lands on scipy's next state
+        from scipy.integrate import RK45
+        from blowup.integrate import _dp_step
+        solver = RK45(self._scipy_rhs(rhs), t_span[0],
+                      np.asarray(y0, dtype=float), t_span[1],
+                      rtol=cfg.rel_tol, atol=cfg.abs_tol)
+        while solver.status == "running":
+            t, y, f = solver.t, tuple(solver.y.tolist()), tuple(solver.f.tolist())
+            solver.step()
+            y_new, _ = _dp_step(rhs, t, y, f, solver.t - t)
+            assert np.max(np.abs(np.subtract(y_new, solver.y))) \
+                <= 1e-13 * np.max(np.abs(solver.y))
+
+    def test_harmonic_oscillator(self):
+        cfg = IntegratorConfig()
+        self._assert_same_steps(_oscillator, [1.0, 0.0], (0.0, 20.0), cfg)
+        self._assert_same_single_steps(_oscillator, [1.0, 0.0], (0.0, 20.0),
+                                       cfg)
+
+    def test_profile_ode_from_interface_seed(self):
+        from blowup.shooting import interface_series_state, profile_rhs
+        params, xi0 = Params(2.0, 0.1), 12.0
+        eps = 1e-6 * xi0
+        g0, dg0 = interface_series_state(params, xi0, eps)
+        # the backward shot's tolerances, without its events
+        cfg = IntegratorConfig(abs_tol=np.array([1e-8 * g0, 1e-8 * abs(dg0)]))
+        rhs = profile_rhs(params)
+        self._assert_same_steps(rhs, [g0, dg0], (xi0 - eps, 0.0), cfg)
+        self._assert_same_single_steps(rhs, [g0, dg0], (xi0 - eps, 0.0), cfg)
+
+
+class TestRuntimeDependencies:
+    def test_shot_runs_without_scipy(self):
+        # scipy is a test-only dependency: a fresh interpreter that imports
+        # the package and makes a backward shot never loads it
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import sys\n"
+                "from blowup import Params, ReachedOrigin, shoot_backward\n"
+                "_, out = shoot_backward(Params(2.0, 0.1), 12.0)\n"
+                "assert isinstance(out, ReachedOrigin), out\n"
+                "assert 'scipy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -193,6 +193,23 @@ class TestWeightedIntegral:
         assert weighted_g_square_integral(params, xs, g, dg) == \
             pytest.approx(ref, abs=1e-10)
 
+    @pytest.mark.parametrize("xi_node", [1.0, 20.0, 40.642])
+    def test_short_cell_adds_nothing(self, xi_node):
+        # a node 1e-7 after a grid node (as a dense sample next to a step
+        # end) splits a cell without changing the integrand: the integral
+        # must not move
+        params = Params(m=2.0, sigma=0.1)
+        xs = np.linspace(0.0, 50.0, 50001)
+        k = int(np.searchsorted(xs, xi_node))
+        split = np.insert(xs, k + 1, xs[k] + 1e-7)
+
+        def integral(x):
+            g = 1.0 + 0.5 * np.sin(x / 3.0)
+            dg = np.cos(x / 3.0) / 6.0
+            return weighted_g_square_integral(params, x, g, dg)
+
+        assert integral(split) == pytest.approx(integral(xs), rel=1e-12)
+
 
 class TestIntegralIdentity:
     def test_explicit_profile_all_points(self):
