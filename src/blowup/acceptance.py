@@ -79,7 +79,8 @@ def _check_2_multiplicity(seed: int) -> Tuple[bool, str]:
 def _check_3_extended_multiplicity(seed: int) -> Tuple[bool, str]:
     """(m=2, sigma=0.1) over (0, 80]: at least 3 good profiles with pairwise
     distinct maxima counts."""
-    # count-only criterion: a loose slope tolerance keeps the bisections short
+    # count-only criterion: a loose slope tolerance keeps the root finding
+    # short
     rows = shooting.multiplicity_scan(2.0, [0.1], 80.0, grid_dx=0.5,
                                       slope_tol=1e-4)
     row = rows[0]

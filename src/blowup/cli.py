@@ -43,10 +43,16 @@ def _fmt(x: float) -> str:
 
 
 def _csv(path: Optional[Path], header: Sequence[str], rows) -> None:
+    # rows are tuples as wide as the header; an all-float row is formatted
+    # by one % string ("%.17g" % x is the text of format(x, ".17g"))
+    float_row = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
+        if all(isinstance(v, float) for v in row):
+            lines.append(float_row % row)
+        else:
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                                  for v in row))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)

@@ -12,9 +12,10 @@ tangentially), so shots terminate on a small positive g-floor and the
 interface location is recovered from a curvature-corrected projection built
 on the ratio r = p*g/|dg| (see _project_interface).
 
-Good profiles (f'(0) = 0) are located by bisection on xi0 against the slope
-of the backward shot at the axis; for each fixed xi0 the profile with
-interface there is unique, so the slope is a well-defined function of xi0.
+Good profiles (f'(0) = 0) are located as roots in xi0 of the slope of the
+backward shot at the axis, bracketed on a grid and refined by the ITP method;
+for each fixed xi0 the profile with interface there is unique, so the slope
+is a well-defined function of xi0.
 """
 
 from __future__ import annotations
@@ -75,8 +76,11 @@ DEFAULT_XI_MAX = 1e3
 DEFAULT_SLOPE_TOL = 1e-6
 #: |f'(0)| below this counts as a flat axis start when classifying extrema;
 #: it must not be tighter than the loosest slope_tol a search uses, or a
-#: sigma = 0 root whose bisection stopped at f'(0) < 0 loses its maximum
+#: sigma = 0 root whose search stopped at f'(0) < 0 loses its maximum
 ORIGIN_FLAT_TOL = 1e-4
+#: a root's axis slope may move by at most this times (1 + |slope|) when its
+#: seed distance is halved, else the root is discarded as seed-dependent
+SEED_AGREEMENT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -468,26 +472,21 @@ def shoot_backward(params: Params, xi0: float, epsilon: Optional[float] = None,
 
 
 def slope_fn(params: Params, xi0: float, epsilon_rel: float = EPS_REL,
-             agreement_tol: float = 1e-4,
              config: Optional[IntegratorConfig] = None) -> float:
-    """f'(0) of the backward shot from xi0, with a seeding-robustness check.
+    """f'(0) of one bare backward shot from xi0, seeded at epsilon_rel * xi0.
 
-    The shot is repeated with the seed distance halved; the two slopes must
-    agree to agreement_tol * (1 + |slope|), else SlopeUnreliable is raised.
+    It is the slope of the dense, event-tracking shot from the same seed,
+    bit for bit: neither changes the accepted steps.  SlopeUnreliable is
+    raised when the shot does not reach the axis.  The seed-distance check
+    is made once per root, by find_good_profiles.
     """
-    slopes = []
-    for eps in (epsilon_rel * xi0, 0.5 * epsilon_rel * xi0):
-        _, outcome = shoot_backward(params, xi0, epsilon=eps, config=config,
-                                    dense_dx=None, track_events=False)
-        if not isinstance(outcome, ReachedOrigin):
-            raise SlopeUnreliable(
-                f"backward shot from xi0={xi0} did not reach the axis: {outcome}")
-        slopes.append(outcome.slope)
-    if abs(slopes[0] - slopes[1]) > agreement_tol * (1.0 + abs(slopes[1])):
+    _, outcome = shoot_backward(params, xi0, epsilon=epsilon_rel * xi0,
+                                config=config, dense_dx=None,
+                                track_events=False)
+    if not isinstance(outcome, ReachedOrigin):
         raise SlopeUnreliable(
-            f"slope at xi0={xi0} not converged in the seed distance: "
-            f"{slopes[0]} vs {slopes[1]}")
-    return slopes[1]
+            f"backward shot from xi0={xi0} did not reach the axis: {outcome}")
+    return outcome.slope
 
 
 # --------------------------------------------------------------------------
@@ -523,6 +522,12 @@ def _validate_good(params: Params, xi0: float, slope_tol: float,
     if abs(outcome.slope) >= slope_tol:
         raise SlopeUnreliable(
             f"slope {outcome.slope} at xi0={xi0} above tolerance {slope_tol}")
+    half_seed = slope_fn(params, xi0, 0.5 * EPS_REL, config)
+    if abs(half_seed - outcome.slope) > SEED_AGREEMENT_TOL * (
+            1.0 + abs(outcome.slope)):
+        raise SlopeUnreliable(
+            f"slope at xi0={xi0} not converged in the seed distance: "
+            f"{outcome.slope} vs {half_seed} at half the seed")
     n_max = count_maxima(profile)
     if n_max < 1:
         raise SlopeUnreliable(f"profile at xi0={xi0} has no maximum")
@@ -546,10 +551,14 @@ def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
                        max_depth: int = 60,
                        config: Optional[IntegratorConfig] = None
                        ) -> List[GoodProfile]:
-    """Bisect every sign change of slope_fn on a uniform xi0 grid.
+    """Roots of slope_fn in every sign change on a uniform xi0 grid.
 
-    Unreliable slope evaluations are dropped with a warning; roots closer
-    than 1e-6 are deduplicated keeping the lower xi0.
+    Each bracketing grid cell is refined by ITP (_itp_root) until
+    |f'(0)| < slope_tol, one bare backward shot per evaluation.  Every root
+    is then validated by _validate_good: one dense shot for the profile and
+    one shot at half the seed distance, whose slope must agree.  Unreliable
+    slope evaluations are dropped and failed roots discarded, each with a
+    warning; roots closer than 1e-6 are deduplicated keeping the lower xi0.
     """
     if not 0.0 < xi0_lo < xi0_hi:
         raise ValueError("need 0 < xi0_lo < xi0_hi")
@@ -562,13 +571,16 @@ def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
     if n_bad:
         warnings.warn(f"{n_bad} unreliable slope evaluation(s) on the grid")
 
+    def slope(x: float) -> Optional[float]:
+        return _try_slope(params, x, config)
+
     roots: List[float] = []
     for x_lo, x_hi, s_lo, s_hi in zip(grid[:-1], grid[1:], slopes[:-1],
                                       slopes[1:]):
         if s_lo is None or s_hi is None or s_lo * s_hi >= 0.0:
             continue
-        root = _bisect_slope(params, x_lo, x_hi, s_lo, slope_tol, max_depth,
-                             config)
+        root = _itp_root(slope, float(x_lo), float(x_hi), s_lo, s_hi,
+                         slope_tol, max_depth)
         if root is not None:
             roots.append(root)
 
@@ -582,7 +594,7 @@ def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
     for r in deduped:
         try:
             out.append(_validate_good(params, r, slope_tol, config))
-        except SlopeUnreliable as err:
+        except (SlopeUnreliable, IntegrationError) as err:
             warnings.warn(f"discarding root at xi0={r}: {err}")
     return out
 
@@ -595,22 +607,44 @@ def _try_slope(params: Params, xi0: float,
         return None
 
 
-def _bisect_slope(params: Params, x_lo: float, x_hi: float, s_lo: float,
-                  slope_tol: float, max_depth: int,
-                  config: Optional[IntegratorConfig]) -> Optional[float]:
-    for _ in range(max_depth):
+def _itp_root(slope: Callable[[float], Optional[float]], x_lo: float,
+              x_hi: float, s_lo: float, s_hi: float, tol: float,
+              max_depth: int) -> Optional[float]:
+    """A point x in (x_lo, x_hi) with |slope(x)| < tol, by ITP.
+
+    The interpolate-truncate-project method of Oliveira & Takahashi (2020,
+    ACM TOMS 47(1)) with k1 = 0.2/(x_hi - x_lo), k2 = 2, n0 = 1 and
+    eps = (x_hi - x_lo) 2^-(max_depth+1): a regula falsi step pulled toward
+    the midpoint, then kept close enough to it that after j evaluations the
+    bracket is at most (x_hi - x_lo) 2^-(j-1) wide, one evaluation behind
+    bisection in the worst case.  Needs s_lo * s_hi < 0.  Returns None with
+    a warning when an evaluation gives None or max_depth evaluations do not
+    reach tol.
+    """
+    width = x_hi - x_lo
+    k1 = 0.2 / width
+    eps = width * 2.0 ** -(max_depth + 1)
+    n_max = max_depth + 1
+    for j in range(max_depth):
+        w = x_hi - x_lo
         mid = 0.5 * (x_lo + x_hi)
-        s_mid = _try_slope(params, mid, config)
-        if s_mid is None:
-            warnings.warn(f"bisection aborted near xi0={mid}")
+        r = eps * 2.0 ** (n_max - j) - 0.5 * w
+        delta = k1 * w * w
+        x_f = (s_hi * x_lo - s_lo * x_hi) / (s_hi - s_lo)
+        toward = 1.0 if mid >= x_f else -1.0
+        x_t = x_f + toward * delta if delta <= abs(mid - x_f) else mid
+        x = x_t if abs(x_t - mid) <= r else mid - toward * r
+        s = slope(x)
+        if s is None:
+            warnings.warn(f"root finding aborted near xi0={x}")
             return None
-        if abs(s_mid) < slope_tol:
-            return mid
-        if (s_lo < 0.0) == (s_mid < 0.0):
-            x_lo, s_lo = mid, s_mid
+        if abs(s) < tol:
+            return x
+        if (s < 0.0) == (s_lo < 0.0):
+            x_lo, s_lo = x, s
         else:
-            x_hi = mid
-    warnings.warn(f"bisection did not reach |slope| < {slope_tol} "
+            x_hi, s_hi = x, s
+    warnings.warn(f"root finding did not reach |slope| < {tol} "
                   f"in {max_depth} steps on [{x_lo}, {x_hi}]")
     return None
 

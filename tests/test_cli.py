@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from blowup.cli import main
+from blowup.cli import _csv, main
 from blowup.model import Params, Profile, ForwardShot, integral_identity_residual
 
 
@@ -58,6 +58,20 @@ class TestProfileCommand:
         assert a.read_bytes() == b.read_bytes()
         assert a.with_suffix(".json").read_bytes().replace(b"a.json", b"") == \
             b.with_suffix(".json").read_bytes().replace(b"b.json", b"")
+
+    def test_csv_values_at_17_digits(self, tmp_path):
+        # float rows and mixed rows write each float as format(v, ".17g")
+        out = tmp_path / "t.csv"
+        special = (-0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
+                   np.float64(0.1), 1.0 / 3.0)
+        _csv(out, list("abcdefg"), [special, (2.5, 3, "x;y", -0.0, 1e300,
+                                              np.float64(-7.25), True)])
+        rows = out.read_text().split("\n")
+        assert rows[0] == "a,b,c,d,e,f,g"
+        assert rows[1] == ",".join(format(float(v), ".17g") for v in special)
+        assert rows[1].startswith("-0,inf,-inf,nan,4.9406564584124654e-324,")
+        assert rows[2] == "2.5,3,x;y,-0,1.0000000000000001e+300,-7.25,True"
+        assert rows[3:] == [""]
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "p.json"

@@ -2,11 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from blowup import shooting
 from blowup.integrate import IntegratorConfig
 from blowup.model import Params, explicit_interface_F0
-from blowup.shooting import (Exhausted, Interface, ReachedOrigin,
-                             VerticalSlope, count_maxima, find_good_profiles,
+from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, Exhausted, Interface,
+                             ReachedOrigin, VerticalSlope, _itp_root,
+                             _validate_good, count_maxima, find_good_profiles,
                              interface_series_state, multiplicity_scan,
                              nonexistence_gap, series_constant,
                              shoot_backward, shoot_forward, slope_fn)
@@ -153,8 +157,8 @@ class TestFindGoodProfiles:
         assert n_by_xi0[15.4] == 2
 
     def test_sigma0_root_kept_at_loose_slope_tol(self):
-        # bisection stops with |f'(0)| < 1e-4 on the f'(0) < 0 side; the flat
-        # concave axis start must still count as the profile's maximum
+        # the search stops once |f'(0)| < 1e-4, on either side of the root;
+        # test_sigma0_flat_start_below_root covers the f'(0) < 0 side
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             found = find_good_profiles(Params(2, 0), 5.9, 6.9, grid_n=4,
@@ -162,6 +166,16 @@ class TestFindGoodProfiles:
         assert len(found) == 1
         assert found[0].xi0 == pytest.approx(2.0 * np.pi, abs=1e-3)
         assert found[0].n_max == 1
+
+    def test_sigma0_flat_start_below_root(self):
+        # just below 2 pi the axis slope is -5e-5: within a loose slope_tol
+        # but not flat by a tighter ORIGIN_FLAT_TOL.  The flat concave axis
+        # start must still count as the profile's maximum.
+        xi0 = 2.0 * np.pi - 3e-4
+        assert -1e-4 < slope_fn(Params(2, 0), xi0) < 0.0
+        gp = _validate_good(Params(2, 0), xi0, 1e-4, None)
+        assert gp.n_max == 1
+        assert gp.profile.maxima == (0.0,)
 
     def test_empty_when_no_sign_change(self):
         found = find_good_profiles(Params(2.0, 4.0), 1.0, 10.0, grid_n=13)
@@ -172,6 +186,153 @@ class TestFindGoodProfiles:
             find_good_profiles(P20, 3.0, 2.0)
         with pytest.raises(ValueError):
             find_good_profiles(P20, 1.0, 2.0, grid_n=1)
+
+
+@pytest.fixture(scope="module")
+def counted_window():
+    """find_good_profiles(P201, 8, 16, grid_n=33) and its slope_fn calls."""
+    calls = []
+    original = shooting.slope_fn
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    shooting.slope_fn = counting
+    try:
+        found = find_good_profiles(P201, 8.0, 16.0, grid_n=33)
+    finally:
+        shooting.slope_fn = original
+    return found, calls
+
+
+class TestSearchContract:
+    def test_root_slope_is_the_slope_fn_value(self, counted_window):
+        # the root finder and the validated profile read the same number
+        found, _ = counted_window
+        assert len(found) == 2
+        for gp in found:
+            assert gp.slope == slope_fn(P201, gp.xi0)
+            assert abs(gp.slope) < DEFAULT_SLOPE_TOL
+
+    def test_evaluations_per_root(self, counted_window):
+        # one slope_fn call per grid point, then ITP and one seed check per
+        # root
+        found, calls = counted_window
+        assert len(calls) - 33 <= 6 * len(found)
+
+    def test_seed_disagreement_discards_root(self, monkeypatch):
+        original = shooting.slope_fn
+        epsilons = []
+
+        def half_seed_moves(params, xi0, epsilon_rel=EPS_REL, config=None):
+            epsilons.append(epsilon_rel)
+            s = original(params, xi0, epsilon_rel, config)
+            return s + 1e-3 if epsilon_rel != EPS_REL else s
+
+        monkeypatch.setattr(shooting, "slope_fn", half_seed_moves)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            found = find_good_profiles(P20, 5.5, 7.0, grid_n=4)
+        assert found == []
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1, messages
+        assert "discarding root" in messages[0]
+        assert "seed distance" in messages[0]
+        assert epsilons.count(0.5 * EPS_REL) == 1
+        assert epsilons[:4] == [EPS_REL] * 4
+
+
+def _cubic(root, c, d, sign):
+    """A strictly monotone cubic with its one real zero at root."""
+    return lambda x: sign * (c * (x - root) ** 3 + d * (x - root))
+
+
+_itp_cases = dict(
+    lo=st.floats(-50.0, 50.0), width=st.floats(1e-3, 20.0),
+    frac=st.floats(0.0, 1.0), c=st.floats(0.0, 10.0),
+    d=st.floats(1e-3, 10.0), sign=st.sampled_from([-1.0, 1.0]))
+
+
+class TestItpRoot:
+    @settings(max_examples=300, deadline=None)
+    @given(**_itp_cases, tol=st.floats(1e-9, 1e-2))
+    def test_converges_inside_the_bracket(self, lo, width, frac, c, d, sign,
+                                          tol):
+        hi = lo + width
+        f = _cubic(lo + frac * width, c, d, sign)
+        assume(abs(f(lo)) >= tol and abs(f(hi)) >= tol)
+        xs = []
+
+        def slope(x):
+            xs.append(x)
+            return f(x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _itp_root(slope, lo, hi, f(lo), f(hi), tol, 60)
+        assert lo < x < hi
+        assert abs(f(x)) < tol
+        assert x == xs[-1]
+        assert len(xs) <= 60
+
+    @settings(max_examples=200, deadline=None)
+    @given(**_itp_cases, max_depth=st.integers(1, 12))
+    def test_budget_exhausted(self, lo, width, frac, c, d, sign, max_depth):
+        # tol = 0 is never reached: exactly max_depth evaluations, then None
+        hi = lo + width
+        f = _cubic(lo + frac * width, c, d, sign)
+        assume(f(lo) * f(hi) < 0.0)
+        xs = []
+
+        def slope(x):
+            xs.append(x)
+            return f(x)
+
+        with pytest.warns(UserWarning, match="did not reach"):
+            assert _itp_root(slope, lo, hi, f(lo), f(hi), 0.0,
+                             max_depth) is None
+        assert len(xs) == max_depth
+        assert all(lo <= x <= hi for x in xs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**_itp_cases, n_ok=st.integers(0, 5))
+    def test_failed_evaluation_aborts(self, lo, width, frac, c, d, sign,
+                                      n_ok):
+        hi = lo + width
+        f = _cubic(lo + frac * width, c, d, sign)
+        assume(f(lo) * f(hi) < 0.0)
+        xs = []
+
+        def slope(x):
+            xs.append(x)
+            return f(x) if len(xs) <= n_ok else None
+
+        with pytest.warns(UserWarning, match="aborted"):
+            assert _itp_root(slope, lo, hi, f(lo), f(hi), 0.0, 60) is None
+        assert len(xs) == n_ok + 1
+
+    def test_worst_case_bracket_matches_bisection(self):
+        # the projection (n0 = 1) keeps the bracket after j evaluations
+        # within (hi - lo) 2^-(j-1), one evaluation behind bisection
+        f = _cubic(0.3, 5.0, 1e-3, 1.0)
+        lo, hi, brackets = 0.0, 1.0, []
+        s_lo, s_hi = f(lo), f(hi)
+
+        def slope(x):
+            nonlocal lo, hi
+            s = f(x)
+            if s < 0.0:
+                lo = x
+            else:
+                hi = x
+            brackets.append(hi - lo)
+            return s
+
+        with pytest.warns(UserWarning):
+            _itp_root(slope, lo, hi, s_lo, s_hi, 0.0, 20)
+        for j, w in enumerate(brackets, start=1):
+            assert w <= 2.0 ** -(j - 1) * (1.0 + 1e-12)
 
 
 class TestGoodProfileInvariants:
