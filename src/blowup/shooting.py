@@ -630,7 +630,10 @@ def _itp_root(slope: Callable[[float], Optional[float]], x_lo: float,
         mid = 0.5 * (x_lo + x_hi)
         r = eps * 2.0 ** (n_max - j) - 0.5 * w
         delta = k1 * w * w
-        x_f = (s_hi * x_lo - s_lo * x_hi) / (s_hi - s_lo)
+        # regula falsi as a fraction of the bracket: the products s * x of
+        # the textbook form underflow to 0 on tiny brackets and slopes and
+        # throw x_f out of the bracket; clamp what rounding is left
+        x_f = min(max(x_lo + s_lo / (s_lo - s_hi) * w, x_lo), x_hi)
         toward = 1.0 if mid >= x_f else -1.0
         x_t = x_f + toward * delta if delta <= abs(mid - x_f) else mid
         x = x_t if abs(x_t - mid) <= r else mid - toward * r
