@@ -12,8 +12,7 @@ from .model import (BackwardShot, ForwardShot, Params, Profile,
                     integral_identity_residual)
 from .integrate import (Event, EventKind, EventRecord, IntegrationError,
                         IntegrationResult, IntegratorConfig, MaxStepsExceeded,
-                        NonFiniteState, StepUnderflow, classify_vanish,
-                        integrate)
+                        NonFiniteState, StepUnderflow, integrate)
 from .phase import (AltPhaseState, CriticalPoint, NormalFormCoeffs,
                     PhaseState, critical_points, cylinder_flux,
                     cylinder_value, from_phase, invariant_K, jacobian_main,
@@ -21,9 +20,10 @@ from .phase import (AltPhaseState, CriticalPoint, NormalFormCoeffs,
                     vf_main)
 from .shooting import (Diverged, Exhausted, GapBounds, GoodProfile, Interface,
                        ReachedOrigin, ShotOutcome, SlopeUnreliable,
-                       VerticalSlope, count_maxima, find_good_profiles,
-                       multiplicity_scan, nonexistence_gap, shoot_backward,
-                       shoot_forward, slope_fn)
+                       VerticalSlope, classify_vanish, count_maxima,
+                       find_good_profiles, multiplicity_scan,
+                       nonexistence_gap, shoot_backward, shoot_forward,
+                       slope_fn)
 from .analysis import (cylinder_invariance_check, interface_origin_check,
                        monotone_exclusion_check, phi_extremum)
 

@@ -1,14 +1,16 @@
 """Adaptive explicit integration with event location.
 
-The package's own Dormand-Prince 5(4) stepper (Dormand & Prince 1980,
-J. Comput. Appl. Math. 6; Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6), run on tuples of Python floats: the systems integrated here have
-two or three components, where array arithmetic costs more than it saves.
-The tableau and the step control are those of scipy's RK45, so both take the
-same steps: RMS error norm, safety factor 0.9, step factor clamped to
-[0.2, 10], no growth right after a rejected step, a minimum step of 10 ulp
-of t, and Hairer's initial-step selection.  Dense output is the method's
-4th-order continuous extension (Shampine 1986).
+The package's own stepper, Dormand-Prince 8(5,3), scipy's DOP853 tableau and
+step control (Dormand & Prince 1980, J. Comput. Appl. Math. 6; Hairer,
+Norsett & Wanner, Solving ODEs I, II.4 and II.10), run on tuples of Python
+floats: the systems integrated here have two or three components, where
+array arithmetic costs more than it saves.  Both take the same steps: 12
+stages with the last stage rhs(t + h, y_new) reused as the next first one,
+the 5th-order error estimate damped by the 3rd-order one, safety factor 0.9,
+step factor clamped to [0.2, 10] with exponent -1/8, no growth right after
+a rejected step, a minimum step of 10 ulp of t, and Hairer's initial-step
+selection.  Dense output is the method's 7th-order continuous extension,
+which costs three more rhs calls on each step that reads it.
 
 Around the stepper sits the loop the shooting experiments need: (i) event
 bracketing on several dense-output subsamples per accepted step (the
@@ -33,8 +35,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import Params
-
 __all__ = [
     "EventKind",
     "Event",
@@ -46,45 +46,156 @@ __all__ = [
     "StepUnderflow",
     "NonFiniteState",
     "integrate",
-    "classify_vanish",
-    "VanishKind",
 ]
 
 #: dense-output subintervals per accepted step on which event signs are read
 EVENT_SAMPLES = 8
 
-# Dormand-Prince 5(4): nodes C, stage weights A, 5th-order weights B (the
-# second stage has weight 0), error weights E (5th minus 4th order, on the
-# seven stages including rhs(t + h, y_new)), and the dense-output matrix P
-# (column j multiplies theta^(j+1); its second row is zero).
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
-                                17253 / 339200, -22 / 525, 1 / 40)
-_P12, _P13, _P14 = (-8048581381 / 2820520608, 8663915743 / 2820520608,
-                    -12715105075 / 11282082432)
-_P32, _P33, _P34 = (131558114200 / 32700410799, -68118460800 / 10900136933,
-                    87487479700 / 32700410799)
-_P42, _P43, _P44 = (-1754552775 / 470086768, 14199869525 / 1410260304,
-                    -10690763975 / 1880347072)
-_P52, _P53, _P54 = (127303824393 / 49829197408, -318862633887 / 49829197408,
-                    701980252875 / 199316789632)
-_P62, _P63, _P64 = (-282668133 / 205662961, 2019193451 / 616988883,
-                    -1453857185 / 822651844)
-_P72, _P73, _P74 = (40617522 / 29380423, -110615467 / 29380423,
-                    69997945 / 29380423)
+# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10),
+# nonzero entries only, 1-based as in Hairer's DOP853: stage i is
+# rhs(t + C_i h, y + h sum_j A_i_j k_j).  Stages 1-12 make the step, with the
+# 8th-order weights B; stage 13 is rhs(t + h, y_new), the next step's first
+# stage; stages 14-16 serve only the 7th-order dense output, whose upper
+# coefficients are the rows D3-D6.  The error estimates are ER (5th order)
+# and B minus BHH (3rd order).  C_12 = C_13 = 1.
+#
+# The numbers are copied from scipy/integrate/_ivp/dop853_coefficients.py:
+#   Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+#   All rights reserved.  Redistribution and use in source and binary forms,
+#   with or without modification, are permitted provided that the following
+#   conditions are met: 1. Redistributions of source code must retain the
+#   above copyright notice, this list of conditions and the following
+#   disclaimer.  2. Redistributions in binary form must reproduce the above
+#   copyright notice, this list of conditions and the following disclaimer in
+#   the documentation and/or other materials provided with the distribution.
+#   3. Neither the name of the copyright holder nor the names of its
+#   contributors may be used to endorse or promote products derived from this
+#   software without specific prior written permission.
+#   THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS "AS
+#   IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT LIMITED TO,
+#   THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR A PARTICULAR
+#   PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT OWNER OR
+#   CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL, SPECIAL,
+#   EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT LIMITED TO,
+#   PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE, DATA, OR
+#   PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY THEORY OF
+#   LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT (INCLUDING
+#   NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE OF THIS
+#   SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+(_C2, _C3, _C4, _C5, _C6) = (
+    0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333)
+(_C7, _C8, _C9, _C10) = (
+    0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
+    0.6)
+(_C11, _C14, _C15, _C16) = (
+    0.857142857142857142857142857142, 0.1, 0.2,
+    0.777777777777777777777777777778)
+_A2_1 = 5.26001519587677318785587544488e-2
+(_A3_1, _A3_2) = (
+    1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2)
+(_A4_1, _A4_3) = (
+    2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2)
+(_A5_1, _A5_3, _A5_4) = (
+    2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1)
+(_A6_1, _A6_4, _A6_5) = (
+    3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1)
+(_A7_1, _A7_4, _A7_5, _A7_6) = (
+    3.7109375e-2, 1.70252211019544039314978060272e-1,
+    6.02165389804559606850219397283e-2, -1.7578125e-2)
+(_A8_1, _A8_4, _A8_5, _A8_6, _A8_7) = (
+    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3)
+(_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8) = (
+    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1)
+(_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9) = (
+    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2)
+(_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10) = (
+    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022)
+(_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11) = (
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1)
+(_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13) = (
+    5.61675022830479523392909219681e-2, 2.53500210216624811088794765333e-1,
+    -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
+    1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
+    7.56789766054569976138603589584e-3, -8.298e-3)
+(_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14) = (
+    3.18346481635021405060768473261e-2, 2.83009096723667755288322961402e-2,
+    5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2,
+    -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+    -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1)
+(_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15) = (
+    -4.28896301583791923408573538692e-1, -4.69762141536116384314449447206,
+    7.68342119606259904184240953878, 4.06898981839711007970213554331,
+    3.56727187455281109270669543021e-1, -1.39902416515901462129418009734e-3,
+    2.9475147891527723389556272149, -9.15095847217987001081870187138)
+(_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12, _BHH1, _BHH9, _BHH12) = (
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+    0.244094488188976377952755905512, 0.733846688281611857341361741547,
+    0.220588235294117647058823529412e-1)
+(_ER1, _ER6, _ER7, _ER8, _ER9, _ER10, _ER11, _ER12) = (
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
+(_D3_1, _D3_6, _D3_7, _D3_8, _D3_9, _D3_10, _D3_11, _D3_12, _D3_13, _D3_14,
+ _D3_15, _D3_16) = (
+    -0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
+    -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+    0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+    0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+    -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+    -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1)
+(_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14,
+ _D4_15, _D4_16) = (
+    0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
+    0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+    -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+    -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+    0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+    -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2)
+(_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14,
+ _D5_15, _D5_16) = (
+    0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
+    -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+    -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+    -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+    -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+    0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2)
+(_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14,
+ _D6_15, _D6_16) = (
+    -0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
+    -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+    0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+    0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+    -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+    -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3)
+_E3_1, _E3_9, _E3_12 = _B1 - _BHH1, _B9 - _BHH9, _B12 - _BHH12
 
 # step control
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1 / 5          # -1/(error estimator order + 1)
+_ERROR_EXPONENT = -1 / 8          # -1/(error estimator order + 1)
 _MIN_REL_TOL = 100 * sys.float_info.epsilon
 
 
@@ -173,7 +284,7 @@ class NonFiniteState(IntegrationError):
 
 
 # --------------------------------------------------------------------------
-# the Dormand-Prince 5(4) stepper
+# the Dormand-Prince 8(5,3) stepper
 # --------------------------------------------------------------------------
 
 def _rms(values: Sequence[float]) -> float:
@@ -184,34 +295,76 @@ def _dp_step(rhs: Callable, t: float, y: tuple, k1: Sequence[float],
              h: float) -> Tuple[tuple, tuple]:
     """One step of size h from (t, y), where k1 = rhs(t, y).
 
-    Returns the 5th-order state at t + h and the seven stages; the last is
-    rhs(t + h, y_new), the first stage of the next step.
+    Returns the 8th-order state at t + h and the twelve stages.
     """
-    k2 = rhs(t + _C2 * h, tuple([u + h * (_A21 * a) for u, a in zip(y, k1)]))
-    k3 = rhs(t + _C3 * h, tuple([u + h * (_A31 * a + _A32 * b)
-                                 for u, a, b in zip(y, k1, k2)]))
-    k4 = rhs(t + _C4 * h, tuple([u + h * (_A41 * a + _A42 * b + _A43 * c)
-                                 for u, a, b, c in zip(y, k1, k2, k3)]))
-    k5 = rhs(t + _C5 * h, tuple([u + h * (_A51 * a + _A52 * b + _A53 * c
-                                          + _A54 * d)
-                                 for u, a, b, c, d in zip(y, k1, k2, k3, k4)]))
-    k6 = rhs(t + h, tuple([u + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                                    + _A65 * e)
-                           for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
-    y_new = tuple([u + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-                   for u, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)])
-    k7 = rhs(t + h, y_new)
-    return y_new, (k1, k2, k3, k4, k5, k6, k7)
+    k2 = rhs(t + _C2 * h, tuple([u + h * (_A2_1 * s1)
+                                 for u, s1 in zip(y, k1)]))
+    k3 = rhs(t + _C3 * h, tuple([u + h * (_A3_1 * s1 + _A3_2 * s2)
+                                 for u, s1, s2 in zip(y, k1, k2)]))
+    k4 = rhs(t + _C4 * h, tuple([u + h * (_A4_1 * s1 + _A4_3 * s3)
+                                 for u, s1, s3 in zip(y, k1, k3)]))
+    k5 = rhs(t + _C5 * h, tuple([u + h * (_A5_1 * s1 + _A5_3 * s3 + _A5_4 * s4)
+                                 for u, s1, s3, s4 in zip(y, k1, k3, k4)]))
+    k6 = rhs(t + _C6 * h, tuple([u + h * (_A6_1 * s1 + _A6_4 * s4 + _A6_5 * s5)
+                                 for u, s1, s4, s5 in zip(y, k1, k4, k5)]))
+    k7 = rhs(t + _C7 * h, tuple([u + h * (_A7_1 * s1 + _A7_4 * s4 + _A7_5 * s5
+                                          + _A7_6 * s6)
+                                 for u, s1, s4, s5, s6
+                                 in zip(y, k1, k4, k5, k6)]))
+    k8 = rhs(t + _C8 * h, tuple([u + h * (_A8_1 * s1 + _A8_4 * s4 + _A8_5 * s5
+                                          + _A8_6 * s6 + _A8_7 * s7)
+                                 for u, s1, s4, s5, s6, s7
+                                 in zip(y, k1, k4, k5, k6, k7)]))
+    k9 = rhs(t + _C9 * h, tuple([u + h * (_A9_1 * s1 + _A9_4 * s4 + _A9_5 * s5
+                                          + _A9_6 * s6 + _A9_7 * s7
+                                          + _A9_8 * s8)
+                                 for u, s1, s4, s5, s6, s7, s8
+                                 in zip(y, k1, k4, k5, k6, k7, k8)]))
+    k10 = rhs(t + _C10 * h, tuple([u + h * (_A10_1 * s1 + _A10_4 * s4
+                                            + _A10_5 * s5 + _A10_6 * s6
+                                            + _A10_7 * s7 + _A10_8 * s8
+                                            + _A10_9 * s9)
+                                   for u, s1, s4, s5, s6, s7, s8, s9
+                                   in zip(y, k1, k4, k5, k6, k7, k8, k9)]))
+    k11 = rhs(t + _C11 * h, tuple([u + h * (_A11_1 * s1 + _A11_4 * s4
+                                            + _A11_5 * s5 + _A11_6 * s6
+                                            + _A11_7 * s7 + _A11_8 * s8
+                                            + _A11_9 * s9 + _A11_10 * s10)
+                                   for u, s1, s4, s5, s6, s7, s8, s9, s10
+                                   in zip(y, k1, k4, k5, k6, k7, k8, k9,
+                                          k10)]))
+    k12 = rhs(t + h, tuple([u + h * (_A12_1 * s1 + _A12_4 * s4 + _A12_5 * s5
+                                     + _A12_6 * s6 + _A12_7 * s7 + _A12_8 * s8
+                                     + _A12_9 * s9 + _A12_10 * s10
+                                     + _A12_11 * s11)
+                            for u, s1, s4, s5, s6, s7, s8, s9, s10, s11
+                            in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)]))
+    y_new = tuple([u + h * (_B1 * s1 + _B6 * s6 + _B7 * s7 + _B8 * s8
+                            + _B9 * s9 + _B10 * s10 + _B11 * s11 + _B12 * s12)
+                   for u, s1, s6, s7, s8, s9, s10, s11, s12
+                   in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)])
+    return y_new, (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12)
 
 
 def _error_norm(h: float, y: tuple, y_new: tuple, stages: tuple,
                 atol: Sequence[float], rtol: float) -> float:
-    # RMS of the embedded error estimate, scaled by atol + max(|y|, |y_new|) rtol
-    k1, _, k3, k4, k5, k6, k7 = stages
-    return _rms([(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-                 * h / (tol + (abs(u) if abs(u) > abs(v) else abs(v)) * rtol)
-                 for u, v, tol, a, c, d, e, f, g
-                 in zip(y, y_new, atol, k1, k3, k4, k5, k6, k7)])
+    """DOP853's error norm: the 5th-order estimate e5 damped by the
+    3rd-order one e3, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), both
+    scaled by atol + max(|y|, |y_new|) rtol."""
+    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12 = stages
+    sq5 = sq3 = 0.0
+    for u, v, tol, s1, s6, s7, s8, s9, s10, s11, s12 in zip(
+            y, y_new, atol, k1, k6, k7, k8, k9, k10, k11, k12):
+        scale = tol + (abs(u) if abs(u) > abs(v) else abs(v)) * rtol
+        e5 = (_ER1 * s1 + _ER6 * s6 + _ER7 * s7 + _ER8 * s8 + _ER9 * s9
+              + _ER10 * s10 + _ER11 * s11 + _ER12 * s12) / scale
+        e3 = (_E3_1 * s1 + _B6 * s6 + _B7 * s7 + _B8 * s8 + _E3_9 * s9
+              + _B10 * s10 + _B11 * s11 + _E3_12 * s12) / scale
+        sq5 += e5 * e5
+        sq3 += e3 * e3
+    if sq5 == 0.0 and sq3 == 0.0:
+        return 0.0
+    return abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
 
 
 def _initial_step(rhs: Callable, t0: float, y0: tuple, f0: Sequence[float],
@@ -230,31 +383,68 @@ def _initial_step(rhs: Callable, t0: float, y0: tuple, f0: Sequence[float],
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     return min(100 * h0, h1, interval, max_step)
 
 
-def _interpolant(t_old: float, h: float, y_old: tuple, stages: tuple
+def _interpolant(rhs: Callable, t_old: float, h: float, y_old: tuple,
+                 y_new: tuple, stages: tuple, f_new: Sequence[float]
                  ) -> Callable[[Sequence[float]], List[tuple]]:
-    """Dense output on the step [t_old, t_old + h]: y_old + h sum_j q_j x^j,
-    x = (t - t_old)/h, with q = K^T P the stages through the 4th-order
-    continuous extension.
+    """7th-order dense output on the step [t_old, t_old + h], at the cost of
+    the three extra stages 14-16:
 
-    The returned dense(ts) gives the states at all points ts, looping over
-    the points inside each component (cheaper than a call per point).
+        y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + x (F4 + (1-x)
+              (F5 + x F6)))))),    x = (t - t_old)/h,
+
+    with F0 = y_new - y_old, F1 = h k1 - F0, F2 = 2 F0 - h (k1 + k13) and
+    F3..F6 = h D K.  The returned dense(ts) gives the states at all points ts,
+    looping over the points inside each component (cheaper than a call per
+    point).
     """
-    k1, _, k3, k4, k5, k6, k7 = stages
-    q = [(u, a,
-          _P12 * a + _P32 * c + _P42 * d + _P52 * e + _P62 * f + _P72 * g,
-          _P13 * a + _P33 * c + _P43 * d + _P53 * e + _P63 * f + _P73 * g,
-          _P14 * a + _P34 * c + _P44 * d + _P54 * e + _P64 * f + _P74 * g)
-         for u, a, c, d, e, f, g in zip(y_old, k1, k3, k4, k5, k6, k7)]
+    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12 = stages
+    k13 = f_new
+    k14 = rhs(t_old + _C14 * h, tuple([
+        u + h * (_A14_1 * s1 + _A14_7 * s7 + _A14_8 * s8 + _A14_9 * s9
+                 + _A14_10 * s10 + _A14_11 * s11 + _A14_12 * s12
+                 + _A14_13 * s13)
+        for u, s1, s7, s8, s9, s10, s11, s12, s13
+        in zip(y_old, k1, k7, k8, k9, k10, k11, k12, k13)]))
+    k15 = rhs(t_old + _C15 * h, tuple([
+        u + h * (_A15_1 * s1 + _A15_6 * s6 + _A15_7 * s7 + _A15_8 * s8
+                 + _A15_11 * s11 + _A15_12 * s12 + _A15_13 * s13
+                 + _A15_14 * s14)
+        for u, s1, s6, s7, s8, s11, s12, s13, s14
+        in zip(y_old, k1, k6, k7, k8, k11, k12, k13, k14)]))
+    k16 = rhs(t_old + _C16 * h, tuple([
+        u + h * (_A16_1 * s1 + _A16_6 * s6 + _A16_7 * s7 + _A16_8 * s8
+                 + _A16_9 * s9 + _A16_13 * s13 + _A16_14 * s14
+                 + _A16_15 * s15)
+        for u, s1, s6, s7, s8, s9, s13, s14, s15
+        in zip(y_old, k1, k6, k7, k8, k9, k13, k14, k15)]))
+    q = [(u, v - u, h * s1 - (v - u), 2.0 * (v - u) - h * (s1 + s13),
+          h * (_D3_1 * s1 + _D3_6 * s6 + _D3_7 * s7 + _D3_8 * s8 + _D3_9 * s9
+               + _D3_10 * s10 + _D3_11 * s11 + _D3_12 * s12 + _D3_13 * s13
+               + _D3_14 * s14 + _D3_15 * s15 + _D3_16 * s16),
+          h * (_D4_1 * s1 + _D4_6 * s6 + _D4_7 * s7 + _D4_8 * s8 + _D4_9 * s9
+               + _D4_10 * s10 + _D4_11 * s11 + _D4_12 * s12 + _D4_13 * s13
+               + _D4_14 * s14 + _D4_15 * s15 + _D4_16 * s16),
+          h * (_D5_1 * s1 + _D5_6 * s6 + _D5_7 * s7 + _D5_8 * s8 + _D5_9 * s9
+               + _D5_10 * s10 + _D5_11 * s11 + _D5_12 * s12 + _D5_13 * s13
+               + _D5_14 * s14 + _D5_15 * s15 + _D5_16 * s16),
+          h * (_D6_1 * s1 + _D6_6 * s6 + _D6_7 * s7 + _D6_8 * s8 + _D6_9 * s9
+               + _D6_10 * s10 + _D6_11 * s11 + _D6_12 * s12 + _D6_13 * s13
+               + _D6_14 * s14 + _D6_15 * s15 + _D6_16 * s16))
+         for u, v, s1, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15, s16
+         in zip(y_old, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14,
+                k15, k16)]
 
     def dense(ts: Sequence[float]) -> List[tuple]:
         xs = [(t - t_old) / h for t in ts]
-        return list(zip(*[[u + h * (x * (q1 + x * (q2 + x * (q3 + x * q4))))
+        return list(zip(*[[u + x * (f0 + (1.0 - x) * (f1 + x * (
+                               f2 + (1.0 - x) * (f3 + x * (
+                                   f4 + (1.0 - x) * (f5 + x * f6))))))
                            for x in xs]
-                          for u, q1, q2, q3, q4 in q]))
+                          for u, f0, f1, f2, f3, f4, f5, f6 in q]))
 
     return dense
 
@@ -354,7 +544,7 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
             raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps", partial())
         n_steps += 1
 
-        # --- one accepted step under RK45's step-size control ---
+        # --- one accepted step under DOP853's step-size control ---
         min_step = 10.0 * abs(math.nextafter(t, toward) - t)
         if h_abs > max_step:
             h_abs = max_step
@@ -386,9 +576,9 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
             raise NonFiniteState(f"non-finite state at t={t_new}", partial())
 
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, stages[6]
+        t, y, f = t_new, y_new, rhs(t_new, y_new)
         if events or next_dense is not None:
-            dense = _interpolant(t_old, h, y_old, stages)
+            dense = _interpolant(rhs, t_old, h, y_old, y_new, stages, f)
 
         # --- event detection on subsampled dense output ---
         stop_t: Optional[float] = None
@@ -445,23 +635,3 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
 
     return IntegrationResult(np.asarray(ts), np.asarray(ys), records,
                              "completed", n_steps)
-
-
-class VanishKind(enum.Enum):
-    INTERFACE = "interface"
-    VERTICAL_SLOPE = "vertical_slope"
-
-
-def classify_vanish(params: Params, record: EventRecord, dg_scale: float,
-                    vanish_rel_tol: float = 1e-6) -> VanishKind:
-    """Classify a g = 0 crossing as a true interface or a vertical-slope zero.
-
-    At an interface g ~ (xi0 - xi)^(2m/(m-1)), so dg -> 0 there; at a
-    vertical-slope vanishing point g ~ C2 - C1*(...)  with dg bounded away
-    from zero.  dg_scale should be max|dg| along the trajectory.
-    """
-    if record.kind is not EventKind.GZERO:
-        raise ValueError("classify_vanish expects a GZERO event record")
-    tol = vanish_rel_tol * max(dg_scale, 1e-300)
-    return (VanishKind.INTERFACE if abs(float(record.y[1])) < tol
-            else VanishKind.VERTICAL_SLOPE)

@@ -20,6 +20,7 @@ is a well-defined function of xi0.
 
 from __future__ import annotations
 
+import enum
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -27,8 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .integrate import (Event, EventKind, EventRecord, IntegrationError,
-                        IntegratorConfig, IntegrationResult, VanishKind,
-                        classify_vanish, integrate)
+                        IntegratorConfig, IntegrationResult, integrate)
 from .model import (BackwardShot, ForwardShot, Params, Profile,
                     g_second_derivative, integral_identity_residual, rhs_g)
 
@@ -46,6 +46,8 @@ __all__ = [
     "interface_series_state",
     "shoot_forward",
     "shoot_backward",
+    "classify_vanish",
+    "VanishKind",
     "slope_fn",
     "find_good_profiles",
     "count_maxima",
@@ -311,6 +313,26 @@ def _project_interface(params: Params, xi: float, g: float, dg: float,
     else:
         delta = delta_series
     return xi + direction * delta
+
+
+class VanishKind(enum.Enum):
+    INTERFACE = "interface"
+    VERTICAL_SLOPE = "vertical_slope"
+
+
+def classify_vanish(params: Params, record: EventRecord, dg_scale: float,
+                    vanish_rel_tol: float = 1e-6) -> VanishKind:
+    """Classify a g = 0 crossing as a true interface or a vertical-slope zero.
+
+    At an interface g ~ (xi0 - xi)^(2m/(m-1)), so dg -> 0 there; at a
+    vertical-slope vanishing point g ~ C2 - C1*(...)  with dg bounded away
+    from zero.  dg_scale should be max|dg| along the trajectory.
+    """
+    if record.kind is not EventKind.GZERO:
+        raise ValueError("classify_vanish expects a GZERO event record")
+    tol = vanish_rel_tol * max(dg_scale, 1e-300)
+    return (VanishKind.INTERFACE if abs(float(record.y[1])) < tol
+            else VanishKind.VERTICAL_SLOPE)
 
 
 def _resolve_vanish(params: Params, res: IntegrationResult, rhs, events,

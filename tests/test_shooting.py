@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blowup import shooting
-from blowup.integrate import IntegratorConfig
+from blowup.integrate import EventKind, EventRecord, IntegratorConfig
 from blowup.model import Params, explicit_interface_F0
 from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, Exhausted, Interface,
-                             ReachedOrigin, VerticalSlope, _itp_root,
-                             _validate_good, count_maxima, find_good_profiles,
+                             ReachedOrigin, VanishKind, VerticalSlope,
+                             _itp_root, _validate_good, classify_vanish,
+                             count_maxima, find_good_profiles,
                              interface_series_state, multiplicity_scan,
                              nonexistence_gap, series_constant,
                              shoot_backward, shoot_forward, slope_fn)
@@ -115,6 +116,45 @@ class TestBackwardShot:
     def test_rejects_bad_xi0(self):
         with pytest.raises(ValueError):
             shoot_backward(P20, -2.0)
+
+    @pytest.mark.parametrize("xi0, n_extrema", [(40.0, 9), (79.0, 18)])
+    def test_long_steps_find_every_extremum(self, xi0, n_extrema):
+        # the 8th-order steps span many dense samples; the event scan on
+        # EVENT_SAMPLES subintervals per step must still find each dg = 0
+        # crossing, one per sign change of dg in the dense samples
+        prof, out = shoot_backward(P201, xi0)
+        assert isinstance(out, ReachedOrigin)
+        extrema = np.array(sorted(prof.maxima + prof.minima))
+        i = np.nonzero(np.sign(prof.dg[:-1]) * np.sign(prof.dg[1:]) < 0.0)[0]
+        xi_a, xi_b, dg_a, dg_b = (prof.xi[i], prof.xi[i + 1], prof.dg[i],
+                                  prof.dg[i + 1])
+        changes = xi_a - dg_a * (xi_b - xi_a) / (dg_b - dg_a)
+        assert len(extrema) == len(changes) == n_extrema
+        assert np.max(np.abs(extrema - changes)) < 1.5e-3
+
+    def test_step_count(self):
+        # the 8th-order stepper takes 154 accepted steps on this shot; every
+        # stored point without dense output is a step end
+        prof, out = shoot_backward(P201, 12.0, dense_dx=None)
+        assert isinstance(out, ReachedOrigin)
+        assert len(prof.xi) - 1 <= 160
+
+
+class TestClassifyVanish:
+    def test_interface_record(self):
+        rec = EventRecord(EventKind.GZERO, 5.0, np.array([0.0, 1e-9]))
+        assert classify_vanish(Params(2.0, 0.5), rec, dg_scale=1.0) \
+            is VanishKind.INTERFACE
+
+    def test_vertical_record(self):
+        rec = EventRecord(EventKind.GZERO, 5.0, np.array([0.0, -0.3]))
+        assert classify_vanish(Params(2.0, 0.5), rec, dg_scale=1.0) \
+            is VanishKind.VERTICAL_SLOPE
+
+    def test_wrong_kind_rejected(self):
+        rec = EventRecord(EventKind.DG_ZERO, 5.0, np.array([0.0, 0.0]))
+        with pytest.raises(ValueError):
+            classify_vanish(Params(2.0, 0.5), rec, dg_scale=1.0)
 
 
 class TestSlopeFn:
