@@ -13,11 +13,10 @@ from .model import (BackwardShot, ForwardShot, Params, Profile,
 from .integrate import (Event, EventKind, EventRecord, IntegrationError,
                         IntegrationResult, IntegratorConfig, MaxStepsExceeded,
                         NonFiniteState, StepUnderflow, integrate)
-from .phase import (AltPhaseState, CriticalPoint, NormalFormCoeffs,
-                    PhaseState, critical_points, cylinder_flux,
-                    cylinder_value, from_phase, invariant_K, jacobian_main,
-                    normal_form_p3, p3_spiral_diagnostic, to_phase, vf_alt,
-                    vf_main)
+from .phase import (CriticalPoint, NormalFormCoeffs, PhaseState,
+                    critical_points, cylinder_flux, cylinder_value,
+                    from_phase, invariant_K, jacobian_main, normal_form_p3,
+                    p3_spiral_diagnostic, to_phase, vf_main)
 from .shooting import (Diverged, Exhausted, GapBounds, GoodProfile, Interface,
                        ReachedOrigin, ShotOutcome, SlopeUnreliable,
                        VerticalSlope, classify_vanish, count_maxima,
@@ -36,8 +35,8 @@ __all__ = [
     "Event", "EventKind", "EventRecord", "IntegratorConfig",
     "IntegrationResult", "IntegrationError", "MaxStepsExceeded",
     "StepUnderflow", "NonFiniteState", "integrate", "classify_vanish",
-    "PhaseState", "AltPhaseState", "CriticalPoint", "NormalFormCoeffs",
-    "vf_main", "vf_alt", "to_phase", "from_phase", "jacobian_main",
+    "PhaseState", "CriticalPoint", "NormalFormCoeffs",
+    "vf_main", "to_phase", "from_phase", "jacobian_main",
     "critical_points", "cylinder_value", "cylinder_flux", "invariant_K",
     "normal_form_p3", "p3_spiral_diagnostic",
     "ShotOutcome", "Interface", "VerticalSlope", "ReachedOrigin", "Diverged",

@@ -38,34 +38,41 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 
+#: the one float format: 17 significant digits, the text of format(x, ".17g")
+_FLOAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
+
+
+def _write(path: Optional[Path], text: str) -> None:
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        path.write_text(text, newline="\n")
 
 
 def _csv(path: Optional[Path], header: Sequence[str], rows) -> None:
-    # rows are tuples as wide as the header; an all-float row is formatted
-    # by one % string ("%.17g" % x is the text of format(x, ".17g"))
-    float_row = ",".join(["%.17g"] * len(header))
+    # rows are tuples as wide as the header, mixing floats with other values
     lines = [",".join(header)]
     for row in rows:
-        if all(isinstance(v, float) for v in row):
-            lines.append(float_row % row)
-        else:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, newline="\n")
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in row))
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _float_csv(path: Optional[Path], header: Sequence[str],
+               table: np.ndarray) -> None:
+    # table is a float array, a row per line: all its values are formatted
+    # by one % operation over the flattened rows
+    row = ",".join([_FLOAT] * len(header)) + "\n"
+    _write(path, ",".join(header) + "\n"
+           + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _json_out(path: Optional[Path], payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, newline="\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _sidecar(path: Path) -> Path:
@@ -126,23 +133,17 @@ def cmd_profile(args) -> int:
         "integral_identity_residual": residual,
         "n_samples": int(len(profile.xi)),
     }
-    rows = zip(map(float, profile.xi), map(float, profile.f),
-               map(float, profile.fprime), map(float, profile.g),
-               map(float, profile.dg))
+    names = ["xi", "f", "fprime", "g", "dg"]
+    columns = [profile.xi, profile.f, profile.fprime, profile.g, profile.dg]
     if args.format == "csv":
         out = Path(args.out) if args.out else None
         if out is None:
             raise UsageError("--out is required for csv output")
-        _csv(out, ["xi", "f", "fprime", "g", "dg"], rows)
+        _float_csv(out, names, np.column_stack(columns))
         _json_out(_sidecar(out), meta)
     else:
-        meta["samples"] = {
-            "xi": [float(v) for v in profile.xi],
-            "f": [float(v) for v in profile.f],
-            "fprime": [float(v) for v in profile.fprime],
-            "g": [float(v) for v in profile.g],
-            "dg": [float(v) for v in profile.dg],
-        }
+        meta["samples"] = {name: col.tolist()
+                           for name, col in zip(names, columns)}
         _json_out(Path(args.out) if args.out else None, meta)
     return EXIT_OK
 
@@ -187,9 +188,8 @@ def cmd_phase(args) -> int:
     from .analysis import integrate_orbit
     report = integrate_orbit(params, phase.PhaseState(x, y, z),
                              eta_max=args.eta_max, config=_config(args))
-    rows = [(float(t), float(s[0]), float(s[1]), float(s[2]), float(c))
-            for t, s, c in zip(report.eta, report.states,
-                               report.cylinder_values)]
+    table = np.column_stack([report.eta, report.states,
+                             report.cylinder_values])
     meta = {
         "schema": SCHEMA,
         "command": "phase",
@@ -197,16 +197,16 @@ def cmd_phase(args) -> int:
         "sigma": params.sigma,
         "start": [x, y, z],
         "classification": report.classification,
-        "n_samples": len(rows),
+        "n_samples": len(table),
     }
     if args.format == "csv":
         out = Path(args.out) if args.out else None
         if out is None:
             raise UsageError("--out is required for csv output")
-        _csv(out, ["eta", "X", "Y", "Z", "cylinder_value"], rows)
+        _float_csv(out, ["eta", "X", "Y", "Z", "cylinder_value"], table)
         _json_out(_sidecar(out), meta)
     else:
-        meta["samples"] = [list(r) for r in rows]
+        meta["samples"] = table.tolist()
         _json_out(Path(args.out) if args.out else None, meta)
     return EXIT_OK
 

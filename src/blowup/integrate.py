@@ -17,7 +17,11 @@ bracketing on several dense-output subsamples per accepted step (the
 profile ODE produces closely spaced crossings), (ii) a hard cap on the
 number of steps with typed failures, and (iii) optional uniformly spaced
 dense samples merged into the returned trajectory so that quadrature over
-stored samples is accurate.
+stored samples is accurate.  Each step records the abscissae of its samples
+(one vector of sequential sums) and its interpolant coefficients; the
+samples are evaluated in one numpy pass and interleaved with the step ends
+when the trajectory is returned, at the end, at a terminal event or with a
+failure's partial trajectory.
 
 Events are located by sign change over EVENT_SAMPLES equal subintervals of
 each accepted step, then refined by bisection on the dense output until the
@@ -245,6 +249,8 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.dense_dx and not self.dense_dx > 0:   # 0 or None: no samples
+            raise ValueError("dense_dx must be positive")
 
 
 @dataclass
@@ -389,17 +395,12 @@ def _initial_step(rhs: Callable, t0: float, y0: tuple, f0: Sequence[float],
 
 def _interpolant(rhs: Callable, t_old: float, h: float, y_old: tuple,
                  y_new: tuple, stages: tuple, f_new: Sequence[float]
-                 ) -> Callable[[Sequence[float]], List[tuple]]:
-    """7th-order dense output on the step [t_old, t_old + h], at the cost of
-    the three extra stages 14-16:
-
-        y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + x (F4 + (1-x)
-              (F5 + x F6)))))),    x = (t - t_old)/h,
-
-    with F0 = y_new - y_old, F1 = h k1 - F0, F2 = 2 F0 - h (k1 + k13) and
-    F3..F6 = h D K.  The returned dense(ts) gives the states at all points ts,
-    looping over the points inside each component (cheaper than a call per
-    point).
+                 ) -> List[tuple]:
+    """Coefficients of the 7th-order dense output on the step
+    [t_old, t_old + h], at the cost of the three extra stages 14-16: one
+    tuple (y_old, F0, ..., F6) per component, with F0 = y_new - y_old,
+    F1 = h k1 - F0, F2 = 2 F0 - h (k1 + k13) and F3..F6 = h D K.  See
+    _dense_poly for the polynomial.
     """
     k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12 = stages
     k13 = f_new
@@ -437,16 +438,94 @@ def _interpolant(rhs: Callable, t_old: float, h: float, y_old: tuple,
          for u, v, s1, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15, s16
          in zip(y_old, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14,
                 k15, k16)]
+    return q
 
-    def dense(ts: Sequence[float]) -> List[tuple]:
-        xs = [(t - t_old) / h for t in ts]
-        return list(zip(*[[u + x * (f0 + (1.0 - x) * (f1 + x * (
-                               f2 + (1.0 - x) * (f3 + x * (
-                                   f4 + (1.0 - x) * (f5 + x * f6))))))
-                           for x in xs]
-                          for u, f0, f1, f2, f3, f4, f5, f6 in q]))
 
-    return dense
+def _dense_poly(x, q):
+    """The dense-output polynomial at x = (t - t_old)/h, from the
+    coefficients q = (y_old, F0, ..., F6) of one step:
+
+        y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + x (F4 + (1-x)
+              (F5 + x F6)))))).
+
+    The one definition of the interpolant.  On floats (event subsamples and
+    bisection) it runs as plain float arithmetic; on numpy arrays (the
+    batched samples, x broadcasting against each coefficient) it performs
+    the same operations in the same order, so both give the same bits.
+    """
+    u, f0, f1, f2, f3, f4, f5, f6 = q
+    return u + x * (f0 + (1.0 - x) * (f1 + x * (f2 + (1.0 - x) * (
+        f3 + x * (f4 + (1.0 - x) * (f5 + x * f6))))))
+
+
+def _dense_states(q: List[tuple], t_old: float, h: float,
+                  ts: Sequence[float]) -> List[tuple]:
+    """States on the step's interpolant at the points ts, as tuples."""
+    xs = [(t - t_old) / h for t in ts]
+    return list(zip(*[[_dense_poly(x, c) for x in xs] for c in q]))
+
+
+def _step_samples(start: float, dx: float, t_old: float, end: float,
+                  direction: float) -> Tuple[np.ndarray, float]:
+    """The uniform dense samples of the step from t_old to end.
+
+    The grid runs start, start + dx, ... (dx signed) up to the last point
+    before end by more than 1e-12 relative; the first point past that is
+    returned as the next step's start.  Grid points within 1e-13 relative
+    of t_old, or behind it, are dropped.  The points are the sequential sums
+    of dx, formed by np.add.accumulate in one pass, bit for bit the sums of
+    a loop `t += dx`.
+    """
+    lim = 1e-12 * max(1.0, abs(end))
+    if direction * (end - start) <= lim:
+        return np.empty(0), start
+    n = int(direction * (end - start) / abs(dx)) + 2
+    sums = np.empty(n)
+    sums.fill(dx)
+    sums[0] = start
+    sums = np.add.accumulate(sums)
+    while direction * (end - float(sums[-1])) > lim:  # rounding left it short
+        if sums[-1] + dx == sums[-1]:
+            raise ValueError(f"dense_dx is below the float spacing at "
+                             f"t={sums[-1]}")
+        more = np.empty(n)
+        more.fill(dx)
+        more[0] = sums[-1] + dx
+        sums = np.concatenate((sums, np.add.accumulate(more)))
+    # the sums are monotone, so the stop rule fails on a tail (the last sum
+    # and rarely the one before) and the skip rule holds on a head (rarely
+    # more than the first sum): both are found by scalar tests at the ends
+    k = len(sums) - 1
+    while direction * (end - float(sums[k - 1])) <= lim:
+        k -= 1
+    i = 0
+    while i < k and not (direction * (float(sums[i]) - t_old)
+                         > 1e-13 * max(1.0, abs(float(sums[i])))):
+        i += 1
+    return sums[i:k], float(sums[k])
+
+
+def _with_samples(ts: List[float], ys: List[Sequence[float]],
+                  blocks: List[tuple]) -> Tuple[np.ndarray, np.ndarray]:
+    """The trajectory as arrays: the points ts, ys, with each block's dense
+    samples inserted before the point ts[at].
+
+    blocks holds (at, t_old, h, q, samples) per step with samples; all
+    samples are evaluated on their step's interpolant in one numpy pass.
+    """
+    t, y = np.asarray(ts), np.asarray(ys)
+    if not blocks:
+        return t, y
+    at, t_old, h, q, samples = zip(*blocks)
+    sizes = [s.size for s in samples]
+    step = np.repeat(np.arange(len(blocks)), sizes)
+    samples = np.concatenate(samples)
+    x = (samples - np.asarray(t_old)[step]) / np.asarray(h)[step]
+    # coefficients as (8, samples, components), x broadcast over components
+    coef = np.asarray(q)[step].transpose(2, 0, 1)
+    where = np.repeat(at, sizes)
+    return (np.insert(t, where, samples),
+            np.insert(y, where, _dense_poly(x[:, None], coef), axis=0))
 
 
 # --------------------------------------------------------------------------
@@ -466,14 +545,16 @@ def _crossing_ok(ev: Event, fa: float, fb: float) -> bool:
     return True
 
 
-def _bisect_event(fn: Callable, dense: Callable, ta: float, tb: float,
-                  fa: float, event_tol: float) -> Tuple[float, tuple]:
-    # fa has the sign to keep on the left; stop on |f| < event_tol
+def _bisect_event(fn: Callable, q: List[tuple], t_old: float, h: float,
+                  ta: float, tb: float, fa: float,
+                  event_tol: float) -> Tuple[float, tuple]:
+    # fa has the sign to keep on the left; stop on |f| < event_tol.  The
+    # points are read on the step's interpolant q from t_old over h.
     lo, hi, flo = ta, tb, fa
     width_tol = 1e-14 * max(1.0, abs(ta), abs(tb))
     for _ in range(120):
         mid = 0.5 * (lo + hi)
-        ym = dense([mid])[0]
+        ym = _dense_states(q, t_old, h, (mid,))[0]
         fm = fn(mid, ym)
         if abs(fm) < event_tol or abs(hi - lo) < width_tol:
             return mid, ym
@@ -482,7 +563,7 @@ def _bisect_event(fn: Callable, dense: Callable, ta: float, tb: float,
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    return mid, dense([mid])[0]
+    return mid, _dense_states(q, t_old, h, (mid,))[0]
 
 
 # --------------------------------------------------------------------------
@@ -531,17 +612,22 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
     ys: List[Sequence[float]] = [y]
     records: List[EventRecord] = []
     n_steps = 0
-    next_dense = t0 + cfg.dense_dx * direction if cfg.dense_dx else None
+    dense_dx = cfg.dense_dx * direction if cfg.dense_dx else None
+    next_dense = t0 + dense_dx if dense_dx is not None else None
+    # (at, t_old, h, q, abscissae) of each step's dense samples, evaluated
+    # in one pass when the trajectory is returned
+    blocks: List[tuple] = []
     # event values at the current point, reused as the left end of each step
     ev_vals = [ev.fn(t0, y) for ev in events]
 
-    def partial(reason: str = "aborted") -> IntegrationResult:
-        return IntegrationResult(np.asarray(ts), np.asarray(ys), records,
+    def result(reason: str) -> IntegrationResult:
+        return IntegrationResult(*_with_samples(ts, ys, blocks), records,
                                  reason, n_steps)
 
     while direction * (t - t1) < 0.0:
         if n_steps >= cfg.max_steps:
-            raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps", partial())
+            raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps",
+                                   result("aborted"))
         n_steps += 1
 
         # --- one accepted step under DOP853's step-size control ---
@@ -554,7 +640,7 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
         while True:
             if h_abs < min_step:
                 raise StepUnderflow("Required step size is less than spacing "
-                                    "between numbers.", partial())
+                                    "between numbers.", result("aborted"))
             t_new = t + h_abs * direction
             if direction * (t_new - t1) > 0.0:
                 t_new = t1
@@ -573,12 +659,13 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         if not all(map(math.isfinite, y_new)):
-            raise NonFiniteState(f"non-finite state at t={t_new}", partial())
+            raise NonFiniteState(f"non-finite state at t={t_new}",
+                                 result("aborted"))
 
         t_old, y_old = t, y
         t, y, f = t_new, y_new, rhs(t_new, y_new)
         if events or next_dense is not None:
-            dense = _interpolant(rhs, t_old, h, y_old, y_new, stages, f)
+            q = _interpolant(rhs, t_old, h, y_old, y_new, stages, f)
 
         # --- event detection on subsampled dense output ---
         stop_t: Optional[float] = None
@@ -586,7 +673,7 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
         if events:
             dt = h / EVENT_SAMPLES
             tt = [t_old + i * dt for i in range(EVENT_SAMPLES)] + [t_new]
-            yy = dense(tt[1:-1]) + [y_new]
+            yy = _dense_states(q, t_old, h, tt[1:-1]) + [y_new]
             for k, ev in enumerate(events):
                 fn = ev.fn
                 vals = [ev_vals[k]] + [fn(s, u) for s, u in zip(tt[1:], yy)]
@@ -596,8 +683,8 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
                 for i in range(EVENT_SAMPLES):
                     if not _crossing_ok(ev, vals[i], vals[i + 1]):
                         continue
-                    te, ye = _bisect_event(fn, dense, tt[i], tt[i + 1],
-                                           vals[i], cfg.event_tol)
+                    te, ye = _bisect_event(fn, q, t_old, h, tt[i],
+                                           tt[i + 1], vals[i], cfg.event_tol)
                     step_hits.append(EventRecord(ev.kind, te, np.array(ye),
                                                  ev.terminal))
             step_hits.sort(key=lambda r: direction * r.t)
@@ -610,28 +697,22 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
                 if stop_t is None or direction * r.t <= direction * stop_t]
         end_t = stop_t if stop_t is not None else t_new
 
-        # --- merge uniform dense samples up to end_t ---
+        # --- uniform dense samples up to end_t, recorded to go before the
+        # point appended next ---
         if next_dense is not None:
-            samples: List[float] = []
-            last = ts[-1]
-            while direction * (end_t - next_dense) > 1e-12 * max(1.0, abs(end_t)):
-                if direction * (next_dense - last) > 1e-13 * max(1.0, abs(next_dense)):
-                    samples.append(next_dense)
-                    last = next_dense
-                next_dense += cfg.dense_dx * direction
-            ts.extend(samples)
-            ys.extend(dense(samples))
+            samples, next_dense = _step_samples(next_dense, dense_dx, t_old,
+                                                end_t, direction)
+            if samples.size:
+                blocks.append((len(ts), t_old, h, q, samples))
 
         if stop_t is not None:
             term = next(r for r in kept if r.terminal and r.t == stop_t)
             records.extend(kept[: kept.index(term) + 1])
             ts.append(term.t)
             ys.append(term.y)
-            return IntegrationResult(np.asarray(ts), np.asarray(ys), records,
-                                     "terminal_event", n_steps)
+            return result("terminal_event")
         records.extend(kept)
         ts.append(t_new)
         ys.append(y_new)
 
-    return IntegrationResult(np.asarray(ts), np.asarray(ys), records,
-                             "completed", n_steps)
+    return result("completed")

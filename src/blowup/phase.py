@@ -12,15 +12,9 @@ with a new time variable eta defined by d(eta)/d(xi) = f^(-(m-1)/2)/sqrt(m(m-1))
     Y' = -(m+1)/2 * Y^2 + 1 - Z
     Z' = Z * ((m-1)*Y + sigma*X)
 
-restricted to the quadrant X >= 0, Z >= 0.  An alternative polynomial system
-in x = f^(m-1), y = f^(m-2) f', z = xi (with d(xi)/d(eta) = m*x),
-
-    x' = m(m-1) x y
-    y' = -m y^2 + x/(m-1) - z^sigma x^2
-    z' = m x,
-
-is kept only as the pointwise field vf_alt, which the tests use to
-cross-check the main system; nothing integrates it.
+restricted to the quadrant X >= 0, Z >= 0.  (The tests cross-check this
+system against an alternative polynomial one in x = f^(m-1),
+y = f^(m-2) f', z = xi; that field lives with the tests.)
 
 This module owns the main vector field (one definition, shared by vf_main
 and the integrator's main_rhs), the analytic Jacobian, the nine-point
@@ -43,11 +37,9 @@ from .model import Params
 
 __all__ = [
     "PhaseState",
-    "AltPhaseState",
     "CriticalPoint",
     "NormalFormCoeffs",
     "vf_main",
-    "vf_alt",
     "main_rhs",
     "to_phase",
     "from_phase",
@@ -85,20 +77,6 @@ class PhaseState:
         return np.array([self.X, self.Y, self.Z], dtype=float)
 
 
-@dataclass(frozen=True)
-class AltPhaseState:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if self.x < 0.0 or self.z < 0.0:
-            raise ValueError("alternative phase space needs x >= 0, z >= 0")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-
 def _main_field(m: float, sigma: float, X, Y, Z) -> Tuple:
     return (0.5 * (m - 1.0) * X * Y - X * X,
             -0.5 * (m + 1.0) * Y * Y + 1.0 - Z,
@@ -118,15 +96,6 @@ def main_rhs(params: Params) -> Callable:
         return _main_field(m, sigma, y[0], y[1], y[2])
 
     return rhs
-
-
-def vf_alt(params: Params, s: AltPhaseState) -> Tuple[float, float, float]:
-    """Right-hand side of the alternative (x, y, z) system."""
-    m, sigma = params.m, params.sigma
-    x, y, z = s.x, s.y, s.z
-    return (m * (m - 1.0) * x * y,
-            -m * y * y + x / (m - 1.0) - z ** sigma * x * x,
-            m * x)
 
 
 def to_phase(params: Params, xi: float, f: float, fprime: float) -> PhaseState:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from blowup.cli import _csv, main
+from blowup.cli import _csv, _float_csv, main
 from blowup.model import Params, Profile, ForwardShot, integral_identity_residual
+from blowup.shooting import shoot_backward, shoot_forward
 
 
 def run(argv):
@@ -72,6 +73,38 @@ class TestProfileCommand:
         assert rows[1].startswith("-0,inf,-inf,nan,4.9406564584124654e-324,")
         assert rows[2] == "2.5,3,x;y,-0,1.0000000000000001e+300,-7.25,True"
         assert rows[3:] == [""]
+
+        # the float-table path: the same specials, one per column, in rows
+        # taken forward and reversed
+        table = np.array([special, special[::-1]])
+        _float_csv(out, list("abcdefg"), table)
+        rows = out.read_text().split("\n")
+        assert rows[0] == "a,b,c,d,e,f,g"
+        assert rows[1] == ",".join(format(float(v), ".17g") for v in special)
+        assert rows[2] == ",".join(format(float(v), ".17g")
+                                   for v in special[::-1])
+        assert rows[1].startswith("-0,inf,-inf,nan,4.9406564584124654e-324,")
+        assert rows[3:] == [""]
+
+    @pytest.mark.parametrize("argv, shot", [
+        (["--sigma", "0.1", "--xi0", "5.1"],
+         lambda: shoot_backward(Params(2.0, 0.1), 5.1)),
+        (["--sigma", "0.5", "--a", "3", "--xi-max", "50"],
+         lambda: shoot_forward(Params(2.0, 0.5), 3.0, xi_max=50.0)),
+    ])
+    def test_profile_csv_cells(self, tmp_path, argv, shot):
+        # every cell is format(v, ".17g") of the arrays of the same shot
+        out = tmp_path / "p.csv"
+        assert run(["profile", "--m", "2", *argv, "--out", str(out)]) == 0
+        prof, _ = shot()
+        columns = (prof.xi, prof.f, prof.fprime, prof.g, prof.dg)
+        rows = out.read_text().split("\n")
+        assert rows[0] == "xi,f,fprime,g,dg"
+        assert rows[-1] == ""
+        assert len(rows) == len(prof.xi) + 2
+        want = [",".join(format(float(v), ".17g") for v in row)
+                for row in zip(*columns)]
+        assert rows[1:-1] == want
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "p.json"

@@ -143,6 +143,163 @@ class TestDenseSampling:
         assert np.max(np.abs(res.y[:, 0] - np.exp(-res.t))) < 1e-9
 
 
+def _poly_ref(x, q):
+    # the 7th-order dense-output polynomial written out on floats, in the
+    # operation order of the interpolant: the reference for batched samples
+    u, f0, f1, f2, f3, f4, f5, f6 = q
+    return u + x * (f0 + (1.0 - x) * (f1 + x * (f2 + (1.0 - x) * (
+        f3 + x * (f4 + (1.0 - x) * (f5 + x * f6))))))
+
+
+class TestBatchedDenseSamples:
+    """Dense samples are evaluated in one numpy pass when the trajectory is
+    returned; they must be exactly what a per-sample loop would produce."""
+
+    @staticmethod
+    def _grid(t0, dx, direction, t_end):
+        # the sequential sums t0 + dx + dx + ... before t_end (1e-12 relative)
+        sums, t = [], t0
+        while True:
+            t += dx * direction
+            if direction * (t_end - t) <= 1e-12 * max(1.0, abs(t_end)):
+                return sums
+            sums.append(t)
+
+    @staticmethod
+    def _interpolant(rhs, steps, k):
+        # the coefficients of accepted step k, recomputed from its start
+        from blowup.integrate import _dp_step, _interpolant
+        t_old, t_new = float(steps.t[k]), float(steps.t[k + 1])
+        y_old = tuple(steps.y[k].tolist())
+        h = t_new - t_old
+        y_new, stages = _dp_step(rhs, t_old, y_old, rhs(t_old, y_old), h)
+        assert list(y_new) == steps.y[k + 1].tolist()
+        return t_old, h, _interpolant(rhs, t_old, h, y_old, y_new, stages,
+                                      rhs(t_new, y_new))
+
+    def _check(self, rhs, y0, t_span, cfg, events=()):
+        from blowup.integrate import _dense_states
+        res = integrate(rhs, y0, t_span, events=events, config=cfg)
+        # the same accepted steps over the whole span, without samples
+        steps = integrate(rhs, y0, t_span,
+                          config=replace(cfg, dense_dx=None))
+        direction = 1.0 if t_span[1] > t_span[0] else -1.0
+        assert np.all(direction * np.diff(res.t) > 0.0)
+
+        is_sample = ~np.isin(res.t, steps.t)
+        if res.reason == "terminal_event":
+            is_sample[-1] = False
+        n_ends = len(res.t) - int(np.count_nonzero(is_sample))
+        if res.reason == "terminal_event":
+            n_ends -= 1
+        assert np.array_equal(res.t[~is_sample][:n_ends], steps.t[:n_ends])
+        assert np.array_equal(res.y[~is_sample][:n_ends], steps.y[:n_ends])
+
+        samples = res.t[is_sample]
+        assert samples.tolist() == self._grid(float(t_span[0]), cfg.dense_dx,
+                                              direction, float(res.t[-1]))
+        ends = np.sort(steps.t)
+        pos = np.clip(np.searchsorted(ends, samples), 1, len(ends) - 1)
+        gap = np.minimum(np.abs(samples - ends[pos - 1]),
+                         np.abs(samples - ends[pos]))
+        assert np.all(gap > 1e-13 * np.maximum(1.0, np.abs(samples)))
+
+        step_of = np.searchsorted(direction * steps.t, direction * samples) - 1
+        coefs = {}
+        for s, k, y in zip(samples.tolist(), step_of.tolist(),
+                           res.y[is_sample].tolist()):
+            if k not in coefs:
+                coefs[k] = self._interpolant(rhs, steps, k)
+            t_old, h, q = coefs[k]
+            ref = [_poly_ref((s - t_old) / h, c) for c in q]
+            assert y == ref
+            assert list(_dense_states(q, t_old, h, [s])[0]) == ref
+        return res, steps, samples
+
+    def test_backward_profile_shot(self):
+        from blowup.shooting import interface_series_state, profile_rhs
+        params, xi0 = Params(2.0, 0.1), 12.0
+        eps = 1e-6 * xi0
+        g0, dg0 = interface_series_state(params, xi0, eps)
+        cfg = IntegratorConfig(abs_tol=np.array([1e-8 * g0, 1e-8 * abs(dg0)]),
+                               dense_dx=1e-3)
+        _, steps, samples = self._check(profile_rhs(params), [g0, dg0],
+                                        (xi0 - eps, 0.0), cfg)
+        assert len(samples) > 11_000 and steps.n_steps > 100
+
+    def test_forward_terminal_event_mid_step(self):
+        ev = Event(EventKind.SECTION_CROSS, lambda t, y: y[0], direction=-1,
+                   terminal=True)
+        cfg = IntegratorConfig(dense_dx=0.01)
+        res, steps, samples = self._check(_oscillator, [1.0, 0.0],
+                                          (0.0, 20.0), cfg, events=(ev,))
+        assert res.reason == "terminal_event"
+        t_term = res.terminal_event.t
+        assert res.t[-1] == t_term
+        # the step holding the event reaches past the next grid point, whose
+        # sample is dropped with the rest of the step
+        k = int(np.searchsorted(steps.t, t_term))
+        assert steps.t[k] > samples[-1] + 2 * cfg.dense_dx
+        assert samples[-1] > steps.t[k - 1]
+
+    def test_grid_points_on_step_ends_are_not_repeated(self):
+        # y' = 1 is integrated exactly, so every step is max_step = 0.5 long
+        # and every other grid point of spacing 0.25 falls on a step end
+        def unit(t, y):
+            return (1.0,)
+
+        cfg = IntegratorConfig(first_step=0.5, max_step=0.5, dense_dx=0.25)
+        for span, samples in (((0.0, 2.0), [0.25, 0.75, 1.25, 1.75]),
+                              ((2.0, 0.0), [1.75, 1.25, 0.75, 0.25])):
+            res = integrate(unit, [0.0], span, config=cfg)
+            assert res.n_steps == 4
+            assert res.t[1::2].tolist() == samples
+            assert res.t[0::2].tolist() == np.linspace(*span, 5).tolist()
+
+    def test_grid_drift_past_the_count_estimate(self):
+        # 150,000 sums of 0.0013 fall behind the nominal grid by about 5e-12
+        # relative, more than the 1e-12 stop rule, so a grid point just
+        # beyond the step end nominally is a sample: the count estimated
+        # from the step length is one short and the grid must run on
+        def unit(t, y):
+            return (1.0,)
+
+        dx = 0.0013
+        end = dx * 150_001 - 1e-10
+        res = integrate(unit, [0.0], (0.0, end),
+                        config=IntegratorConfig(first_step=end, dense_dx=dx))
+        assert res.n_steps == 1
+        grid = self._grid(0.0, dx, 1.0, end)
+        assert len(grid) == 150_001 and grid[-1] < end
+        assert res.t[1:-1].tolist() == grid
+
+    def test_grid_below_float_spacing(self):
+        # 1 + 1e-17 == 1: the sums never advance over a step longer than the
+        # 1e-12 stop distance, which is an error, not an endless grid
+        def unit(t, y):
+            return (1.0,)
+
+        cfg = IntegratorConfig(first_step=1e-11, dense_dx=1e-17)
+        with pytest.raises(ValueError, match="float spacing"):
+            integrate(unit, [0.0], (1.0, 1.0 + 1e-11), config=cfg)
+
+    @pytest.mark.parametrize("t_span", [(0.0, 100.0), (100.0, 0.0)])
+    def test_max_steps_partial(self, t_span):
+        cfg = IntegratorConfig(max_steps=5, dense_dx=0.01)
+        with pytest.raises(MaxStepsExceeded) as err:
+            integrate(_oscillator, [1.0, 0.0], t_span, config=cfg)
+        part = err.value.partial
+        direction = 1.0 if t_span[1] > t_span[0] else -1.0
+        assert part.n_steps == 5 and part.reason == "aborted"
+        assert np.all(direction * np.diff(part.t) > 0.0)
+        assert len(part.t) > 5 + 1
+        steps = integrate(_oscillator, [1.0, 0.0], t_span,
+                          config=replace(cfg, max_steps=10_000,
+                                         dense_dx=None))
+        assert part.t[-1] == steps.t[5]
+        assert part.y[-1].tolist() == steps.y[5].tolist()
+
+
 class TestConfigValidation:
     def test_bad_tolerances(self):
         with pytest.raises(ValueError):
@@ -151,6 +308,13 @@ class TestConfigValidation:
             IntegratorConfig(abs_tol=0.0)  # a zero scale on a zero state
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
+
+    def test_bad_dense_dx(self):
+        # a grid running away from the step end would never reach it
+        for dx in (-0.01, float("nan")):
+            with pytest.raises(ValueError):
+                IntegratorConfig(dense_dx=dx)
+        assert IntegratorConfig(dense_dx=0.0).dense_dx == 0.0  # no samples
 
 
 class TestMaxStep:

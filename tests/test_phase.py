@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup.model import Params, hyperbola_equilibrium, hyperbola_phi_max
-from blowup.phase import (AltPhaseState, PhaseState, critical_points,
-                          cylinder_flux, cylinder_point, cylinder_value,
-                          from_phase, invariant_K, jacobian_main, main_rhs,
+from blowup.phase import (PhaseState, critical_points, cylinder_flux,
+                          cylinder_point, cylinder_value, from_phase,
+                          invariant_K, jacobian_main, main_rhs,
                           normal_form_p3, p2_outgoing_eigenvector,
                           p3_spiral_diagnostic, taylor_coeffs_p3, to_phase,
-                          vf_alt, vf_main)
+                          vf_main)
+
+from alt_phase import AltPhaseState, vf_alt
 
 P21 = Params(m=2.0, sigma=1.0)
 
