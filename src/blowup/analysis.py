@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .integrate import (Event, EventKind, IntegratorConfig,
-                        IntegrationError, integrate)
+                        IntegrationError, integrate, off_level)
 from .model import Params
 from .phase import (PhaseState, Z_DIVERGENCE_BOUND, critical_points,
                     cylinder_value, from_phase, main_rhs,
@@ -48,9 +48,15 @@ class OrbitReport:
 
 
 def _norm_bound_event(bound: float) -> Event:
+    def one_sign(t_a, t_b, boxes):
+        # every component inside the bound, or one of them beyond it
+        if all(-bound < lo and hi < bound for lo, hi in boxes):
+            return True
+        return any(lo > bound or hi < -bound for lo, hi in boxes)
+
     return Event(EventKind.STATE_BOUND,
                  lambda t, y: bound - max(abs(y[0]), abs(y[1]), abs(y[2])),
-                 direction=-1, terminal=True)
+                 direction=-1, terminal=True, one_sign=one_sign)
 
 
 def integrate_orbit(params: Params, start: PhaseState, eta_max: float,
@@ -206,8 +212,9 @@ def p2_orbit_profile(params: Params, delta: float = 1e-6,
         e3 = -e3
     start = p2 + delta * e3
 
-    cross = Event(EventKind.HYP_PHI_MAX_CROSS, lambda t, y: y[2] - 1.0 / m,
-                  direction=+1, terminal=True)
+    level = 1.0 / m
+    cross = Event(EventKind.HYP_PHI_MAX_CROSS, lambda t, y: y[2] - level,
+                  direction=+1, terminal=True, one_sign=off_level(2, level))
     cfg = config or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     res = integrate(main_rhs(params), start, (0.0, eta_max), events=(cross,),
                     config=cfg)

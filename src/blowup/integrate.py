@@ -23,10 +23,17 @@ samples are evaluated in one numpy pass and interleaved with the step ends
 when the trajectory is returned, at the end, at a terminal event or with a
 failure's partial trajectory.
 
-Events are located by sign change over EVENT_SAMPLES equal subintervals of
-each accepted step, then refined by bisection on the dense output until the
-event function is below `event_tol` (bisection rather than Newton: near the
-degenerate interface the relevant functions are extremely flat).
+Events are screened before they are sampled.  An event may carry a
+certificate (Event.one_sign) that proves from a range bound of the step's
+interpolant (_dense_box) that its function keeps one strict sign over the
+whole step; such a step costs the event one call, at the step end.  Only
+when no certificate clears a step are the event's signs read on
+EVENT_SAMPLES equal subintervals of it, and a sign change refined by
+bisection on the dense output until the event function is below
+`event_tol` (bisection rather than Newton: near the degenerate interface
+the relevant functions are extremely flat).  A certificate clears only
+steps on which the sampling finds no sign change, so the screen changes no
+result.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import numpy as np
 __all__ = [
     "EventKind",
     "Event",
+    "off_level",
     "EventRecord",
     "IntegratorConfig",
     "IntegrationResult",
@@ -218,12 +226,38 @@ class Event:
     direction: +1 fires on -/+ crossings, -1 on +/-, 0 on both, always read
     along the direction of integration.  fn is called once per point, with a
     float t and the state y as a tuple of floats.
+
+    one_sign, when given, is a certificate one_sign(t_a, t_b, boxes) -> bool
+    read once per accepted step before the event is sampled: t_a and t_b are
+    the step's ends, and boxes holds one (lo, hi) pair per component that
+    encloses the float values of the step's interpolant.  It may return True
+    only if the float value of fn is nonzero, not NaN, and of one sign for
+    every t between t_a and t_b and every state in the boxes; in doubt, or
+    on NaN bounds, it returns False and the step is sampled.  A wrong True
+    silently drops the event's crossings on that step.
     """
 
     kind: EventKind
     fn: Callable
     direction: int = 0
     terminal: bool = False
+    one_sign: Optional[Callable] = None
+
+
+def off_level(i: int, level: float) -> Callable:
+    """one_sign certificate of an event fn = y[i] - level or level - y[i].
+
+    A float subtraction is zero only between equal operands and otherwise
+    has the sign of the exact difference, so fn keeps one strict sign while
+    the box of component i lies strictly on one side of level.  fn must
+    subtract this same float level.
+    """
+
+    def one_sign(t_a: float, t_b: float, boxes: Sequence[tuple]) -> bool:
+        lo, hi = boxes[i]
+        return lo > level or hi < level
+
+    return one_sign
 
 
 @dataclass(frozen=True)
@@ -458,6 +492,30 @@ def _dense_poly(x, q):
         f3 + x * (f4 + (1.0 - x) * (f5 + x * f6))))))
 
 
+def _dense_box(c: tuple) -> Tuple[float, float]:
+    """Bounds (lo, hi) on the float values of _dense_poly(x, c) for x in
+    [0, 1], c = (y_old, F0, ..., F6) one component's coefficients.
+
+    With s = x (1-x) <= 1/4 the polynomial expands to
+
+        y_old + x F0 + s F1 + s x F2 + s^2 F3 + s^2 x F4 + s^3 F5 + s^3 x F6,
+
+    so it lies within B = (|F1| + |F2|)/4 + (|F3| + |F4|)/16 + (|F5| + |F6|)/64
+    of y_old + x F0, which runs between y_old + min(0, F0) and
+    y_old + max(0, F0).  The 17 rounded operations of the nested form err
+    by at most about 17 ulp of |y_old| + |F0| + B; B is widened by
+    1e-13 (|y_old| + |F0| + B), which covers that and the rounding of the
+    bounds many times over, and by the smallest normal float, which covers
+    underflow.  NaN coefficients give NaN bounds.
+    """
+    u, f0, f1, f2, f3, f4, f5, f6 = c
+    b = (0.25 * (abs(f1) + abs(f2)) + 0.0625 * (abs(f3) + abs(f4))
+         + 0.015625 * (abs(f5) + abs(f6)))
+    b += 1e-13 * (abs(u) + abs(f0) + b) + sys.float_info.min
+    return (u + (f0 if f0 < 0.0 else 0.0) - b,
+            u + (f0 if f0 > 0.0 else 0.0) + b)
+
+
 def _dense_states(q: List[tuple], t_old: float, h: float,
                   ts: Sequence[float]) -> List[tuple]:
     """States on the step's interpolant at the points ts, as tuples."""
@@ -667,15 +725,25 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
         if events or next_dense is not None:
             q = _interpolant(rhs, t_old, h, y_old, y_new, stages, f)
 
-        # --- event detection on subsampled dense output ---
+        # --- event detection: certificates on the interpolant's range
+        # bounds first, subsampled dense output for the events they leave ---
         stop_t: Optional[float] = None
         step_hits: List[EventRecord] = []
         if events:
-            dt = h / EVENT_SAMPLES
-            tt = [t_old + i * dt for i in range(EVENT_SAMPLES)] + [t_new]
-            yy = _dense_states(q, t_old, h, tt[1:-1]) + [y_new]
+            boxes = yy = None
             for k, ev in enumerate(events):
                 fn = ev.fn
+                if ev.one_sign is not None:
+                    if boxes is None:
+                        boxes = [_dense_box(c) for c in q]
+                    if ev.one_sign(t_old, t_new, boxes):
+                        ev_vals[k] = fn(t_new, y_new)
+                        continue  # one strict sign: no crossing in this step
+                if yy is None:
+                    dt = h / EVENT_SAMPLES
+                    tt = ([t_old + i * dt for i in range(EVENT_SAMPLES)]
+                          + [t_new])
+                    yy = _dense_states(q, t_old, h, tt[1:-1]) + [y_new]
                 vals = [ev_vals[k]] + [fn(s, u) for s, u in zip(tt[1:], yy)]
                 ev_vals[k] = vals[-1]
                 if min(vals) > 0.0 or max(vals) < 0.0:

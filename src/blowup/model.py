@@ -19,7 +19,7 @@ cross-check every computed profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ __all__ = [
     "ForwardShot",
     "BackwardShot",
     "Profile",
-    "g_second_derivative",
+    "g_field",
     "rhs_g",
     "explicit_profile_F0",
     "explicit_interface_F0",
@@ -132,39 +132,40 @@ class Profile:
         return int(np.argmin(np.abs(self.xi - xi0)))
 
 
-def g_second_derivative(params: Params, xi, g):
-    """g'' = g_+^(1/m)/(m-1) - xi^sigma * g, with no domain check.
+def g_field(params: Params) -> Callable[[float, float], float]:
+    """g''(xi, g) = g_+^(1/m)/(m-1) - xi^sigma * g on floats, with no domain
+    check, and with 1/m and m-1 computed once for params.
 
     This is the one definition of the profile equation: rhs_g and the
-    integrator's right-hand side both evaluate it.  On floats (the
-    integrator's states, and scalar rhs_g calls) it runs as plain float
-    arithmetic, so both give the same bits; on numpy arrays g_+ is taken
-    with np.where.
+    integrator's right-hand side both evaluate it, so both give the same
+    bits.
     """
-    m, sigma = params.m, params.sigma
-    if isinstance(g, np.ndarray):
-        gpos = np.where(g > 0.0, g, 0.0)
-    else:
-        gpos = g if g > 0.0 else 0.0
-    return gpos ** (1.0 / m) / (m - 1.0) - xi ** sigma * g
+    inv_m, m1, sigma = 1.0 / params.m, params.m - 1.0, params.sigma
+
+    def g2(xi, g):
+        return (g if g > 0.0 else 0.0) ** inv_m / m1 - xi ** sigma * g
+
+    return g2
 
 
 def rhs_g(params: Params, xi: float, g: float, clamp_tol: float = G_CLAMP_TOL):
     """Second derivative g'' = g^(1/m)/(m-1) - xi^sigma * g.
 
     g slightly negative (|g| <= clamp_tol) is clamped to zero; more negative
-    values are a domain error.  Accepts array input for g/xi; scalar input
-    is evaluated on floats, exactly as the integrator evaluates it.
+    values are a domain error.  Accepts array input for g/xi, evaluated
+    element by element on floats, exactly as the integrator evaluates it.
     """
+    field = g_field(params)
     if np.ndim(g) == 0 and np.ndim(xi) == 0:
         g, xi = float(g), float(xi)
         if g < -clamp_tol:
             raise ValueError(f"g < -{clamp_tol:g} is outside the model domain (g={g})")
-        return g_second_derivative(params, xi, g)
+        return field(xi, g)
     g_arr = np.asarray(g, dtype=float)
     if np.any(g_arr < -clamp_tol):
         raise ValueError(f"g < -{clamp_tol:g} is outside the model domain (g={g})")
-    return g_second_derivative(params, np.asarray(xi, dtype=float), g_arr)
+    return np.vectorize(field, otypes=[float])(np.asarray(xi, dtype=float),
+                                               g_arr)
 
 
 def explicit_profile_F0(m: float, xi) -> np.ndarray | float:

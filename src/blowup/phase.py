@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .integrate import (Event, EventKind, IntegratorConfig, IntegrationResult,
-                        integrate)
+                        integrate, off_level)
 from .model import Params
 
 __all__ = [
@@ -440,14 +440,21 @@ def p3_spiral_diagnostic(params: Params, start: PhaseState, turns: int,
         raise ValueError("need at least 2 returns to diagnose growth")
     cfg = config or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
+    def inside_or_beyond_exit(t_a, t_b, boxes):
+        lo, hi = boxes[1]
+        return (-exit_bound < lo and hi < exit_bound
+                or lo > exit_bound or hi < -exit_bound)
+
     section = Event(EventKind.SECTION_CROSS, lambda t, y: y[1],
-                    direction=-1, terminal=False)
+                    direction=-1, terminal=False, one_sign=off_level(1, 0.0))
     exit_ev = Event(EventKind.STATE_BOUND,
                     lambda t, y: exit_bound - abs(y[1]),
-                    direction=-1, terminal=True)
+                    direction=-1, terminal=True,
+                    one_sign=inside_or_beyond_exit)
     z_guard = Event(EventKind.STATE_BOUND,
                     lambda t, y: Z_DIVERGENCE_BOUND - y[2],
-                    direction=-1, terminal=True)
+                    direction=-1, terminal=True,
+                    one_sign=off_level(2, Z_DIVERGENCE_BOUND))
 
     radii: List[float] = []
     crossings: List[np.ndarray] = []

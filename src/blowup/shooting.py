@@ -28,9 +28,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .integrate import (Event, EventKind, EventRecord, IntegrationError,
-                        IntegratorConfig, IntegrationResult, integrate)
+                        IntegratorConfig, IntegrationResult, integrate,
+                        off_level)
 from .model import (BackwardShot, ForwardShot, Params, Profile,
-                    g_second_derivative, integral_identity_residual, rhs_g)
+                    g_field, integral_identity_residual, rhs_g)
 
 __all__ = [
     "Interface",
@@ -73,6 +74,9 @@ EPS_REL = 1e-6
 PROFILE_DENSE_DX = 1e-3
 #: forward shots stop when g exceeds this (escape toward infinite slope data)
 G_CEILING = 1e9
+#: relative allowance for the rounding of the g-floor's power between its
+#: values at the two ends of a step, thousands of ulps
+FLOOR_SLACK = 1e-12
 
 DEFAULT_XI_MAX = 1e3
 DEFAULT_SLOPE_TOL = 1e-6
@@ -154,9 +158,10 @@ def _series_dg(params: Params, g: float) -> float:
 
 def profile_rhs(params: Params):
     """rhs(xi, (g, dg)) of the first-order profile system, for the integrator."""
+    field = g_field(params)
 
     def rhs(xi, y):
-        return (y[1], g_second_derivative(params, xi, y[0]))
+        return (y[1], field(xi, y[0]))
 
     return rhs
 
@@ -167,20 +172,31 @@ def _g_floor_event(floor: Callable) -> Event:
     The floor must sit well below the oscillation minima of live profiles
     (which track the equilibrium hyperbola: g-scale ~ xi^(-m sigma/(m-1)))
     while staying above the integration-noise bounce near a true interface,
-    hence the xi-dependent floor built in _g_floor_fn.
+    hence the xi-dependent floor built in _g_floor_fn.  floor must be
+    nonnegative and monotone in xi: the event's certificate bounds it on a
+    step by its values at the two ends, widened by FLOOR_SLACK for the
+    rounding of the power in it.
     """
+
+    def one_sign(t_a, t_b, boxes):
+        lo, hi = boxes[0]
+        fa, fb = floor(t_a), floor(t_b)
+        if fa > fb:
+            fa, fb = fb, fa
+        return lo > fb * (1.0 + FLOOR_SLACK) or hi < fa * (1.0 - FLOOR_SLACK)
+
     return Event(EventKind.GZERO, lambda t, y: y[0] - floor(t),
-                 direction=-1, terminal=True)
+                 direction=-1, terminal=True, one_sign=one_sign)
 
 
 def _dgzero_event() -> Event:
     return Event(EventKind.DG_ZERO, lambda t, y: y[1], direction=0,
-                 terminal=False)
+                 terminal=False, one_sign=off_level(1, 0.0))
 
 
 def _g_ceiling_event(gmax: float) -> Event:
     return Event(EventKind.STATE_BOUND, lambda t, y: gmax - y[0],
-                 direction=-1, terminal=True)
+                 direction=-1, terminal=True, one_sign=off_level(0, gmax))
 
 
 def _g_floor_fn(params: Params, g_start: float):

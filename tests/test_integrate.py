@@ -2,10 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from blowup.integrate import (Event, EventKind, IntegratorConfig,
-                              MaxStepsExceeded, NonFiniteState, StepUnderflow,
-                              integrate)
+from blowup import analysis, phase, shooting
+from blowup.integrate import (Event, EventKind, IntegrationError,
+                              IntegratorConfig, MaxStepsExceeded,
+                              NonFiniteState, StepUnderflow, integrate)
 from blowup.model import Params
 
 
@@ -298,6 +301,168 @@ class TestBatchedDenseSamples:
                                          dense_dx=None))
         assert part.t[-1] == steps.t[5]
         assert part.y[-1].tolist() == steps.y[5].tolist()
+
+
+@st.composite
+def _coefficients(draw):
+    """(y_old, F0, ..., F6) with magnitudes from 1e-300 to 1e300 and signed
+    zeros.  Each coefficient is a signed zero or m 10^e with 1 <= |m| < 10;
+    e is one decade for the whole tuple, where the terms are alike and the
+    bounds can be tight, or is drawn for each coefficient."""
+    decade = st.integers(-300, 299)
+    shared = draw(st.one_of(st.none(), decade))
+    q = []
+    for _ in range(8):
+        if draw(st.integers(0, 3)) == 0:
+            q.append(draw(st.sampled_from([0.0, -0.0])))
+            continue
+        m = draw(st.floats(1.0, 10.0, exclude_max=True))
+        e = draw(decade) if shared is None else shared
+        q.append(draw(st.sampled_from([1.0, -1.0])) * m * 10.0 ** e)
+    return tuple(q)
+
+
+@st.composite
+def _tight_coefficients(draw):
+    """Tuples on which the bound without its rounding allowance is attained
+    at x = 1/2: F0, F2, F4 and F6 signed zeros, F1, F3 and F5 of one sign,
+    and all in one decade."""
+    e = draw(st.integers(-300, 299))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    mantissa = st.floats(1.0, 10.0, exclude_max=True)
+    zero = st.sampled_from([0.0, -0.0])
+    u = draw(st.sampled_from([1.0, -1.0])) * draw(mantissa) * 10.0 ** e
+    return (u, draw(zero), sign * draw(mantissa) * 10.0 ** e, draw(zero),
+            sign * draw(mantissa) * 10.0 ** e, draw(zero),
+            sign * draw(mantissa) * 10.0 ** e, draw(zero))
+
+
+class TestDenseBox:
+    """_dense_box must enclose every float value of the dense-output
+    polynomial on [0, 1], or an event certificate could clear a step on
+    which the event changes sign."""
+
+    # the sub-points of event sampling and a fine grid
+    XS = sorted(set([i / 8 for i in range(9)]
+                    + np.linspace(0.0, 1.0, 401).tolist()))
+
+    # F0 = F2 = F4 = F6 = 0 at x = 1/2: the bound without its rounding
+    # allowance is attained, and the nested evaluation rounds past it
+    @example((-0.13446586418989326, 0.0, -0.762280082457942, 0.0,
+              -0.0021060533511106927, 0.0, -0.4453871940548014, 0.0))
+    @example((-0.24406233131278388, 0.0, 0.34693088456262167, 0.0,
+              0.2057617572947047, 0.0, 0.6741530142468641, 0.0))
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(_coefficients(), _tight_coefficients()))
+    def test_encloses_the_polynomial(self, q):
+        from blowup.integrate import _dense_box, _dense_poly
+        lo, hi = _dense_box(q)
+        for x in self.XS:
+            assert lo <= _dense_poly(x, q) <= hi, x
+
+    def test_nan_coefficients_give_nan_bounds(self):
+        from blowup.integrate import _dense_box
+        for k in range(1, 8):
+            q = [1.0] * 8
+            q[k] = float("nan")
+            assert all(np.isnan(_dense_box(tuple(q)))), k
+
+
+class TestEventScreen:
+    """Certificates only skip the sampling of steps on which it would find
+    no sign change: with them stripped every step is sampled, and each
+    integration must return the same bits."""
+
+    @staticmethod
+    def _both(monkeypatch, module, run):
+        """Results of the integrate calls made by run() through module, with
+        the events' certificates and without, and the event calls made."""
+        results, calls = {}, {}
+        for screened in (True, False):
+            out, count = [], [0]
+
+            def counted(ev, screened=screened, count=count):
+                def fn(t, y):
+                    count[0] += 1
+                    return ev.fn(t, y)
+                return replace(ev, fn=fn,
+                               one_sign=ev.one_sign if screened else None)
+
+            def recording(rhs, y0, t_span, events=(), config=None, out=out,
+                          counted=counted):
+                try:
+                    res = integrate(rhs, y0, t_span,
+                                    events=[counted(ev) for ev in events],
+                                    config=config)
+                except IntegrationError as err:
+                    out.append(err.partial)
+                    raise
+                out.append(res)
+                return res
+
+            monkeypatch.setattr(module, "integrate", recording)
+            run()
+            results[screened], calls[screened] = out, count[0]
+        return results[True], results[False], calls[True], calls[False]
+
+    def _assert_same(self, monkeypatch, module, run):
+        screened, sampled, n_screened, n_sampled = self._both(
+            monkeypatch, module, run)
+        assert screened and len(screened) == len(sampled)
+        for a, b in zip(screened, sampled):
+            assert a.t.tobytes() == b.t.tobytes()
+            assert a.y.tobytes() == b.y.tobytes()
+            assert (a.reason, a.n_steps) == (b.reason, b.n_steps)
+            assert ([(r.kind, r.t, r.y.tobytes(), r.terminal)
+                     for r in a.events]
+                    == [(r.kind, r.t, r.y.tobytes(), r.terminal)
+                        for r in b.events])
+        # and the screen cleared most steps
+        assert 3 * n_screened < n_sampled, (n_screened, n_sampled)
+        return screened
+
+    def test_dense_backward_shot_with_extrema(self, monkeypatch):
+        res = self._assert_same(monkeypatch, shooting, lambda: (
+            shooting.shoot_backward(Params(2.0, 0.1), 40.0)))
+        kinds = [r.kind for r in res[0].events]
+        assert kinds.count(EventKind.DG_ZERO) >= 9
+
+    def test_forward_shot_floor_handoff(self, monkeypatch):
+        res = self._assert_same(monkeypatch, shooting, lambda: (
+            shooting.shoot_forward(Params(2.0, 0.0), 4.0 / 3.0)))
+        assert res[0].terminal_event.kind is EventKind.GZERO
+
+    def test_forward_shot_vertical_slope(self, monkeypatch):
+        # the shot continues past the floor to g = 0 with a zero floor
+        res = self._assert_same(monkeypatch, shooting, lambda: (
+            shooting.shoot_forward(Params(2.0, 0.5), 3.0, xi_max=50.0)))
+        assert len(res) == 2
+        assert res[1].terminal_event.kind is EventKind.GZERO
+
+    def test_backward_shot_large_sigma(self, monkeypatch):
+        res = self._assert_same(monkeypatch, shooting, lambda: (
+            shooting.shoot_backward(Params(2.0, 4.0), 8.0)))
+        assert res[0].reason == "completed"
+
+    def test_p3_spiral(self, monkeypatch):
+        res = self._assert_same(monkeypatch, phase, lambda: (
+            phase.p3_spiral_diagnostic(Params(2.0, 1.0),
+                                       phase.PhaseState(0.05, 0.01, 1.01),
+                                       turns=8, full=True)))
+        kinds = [r.kind for part in res for r in part.events]
+        assert kinds.count(EventKind.SECTION_CROSS) >= 8
+        assert res[-1].terminal_event.kind is EventKind.STATE_BOUND
+
+    def test_cylinder_orbit_to_norm_bound(self, monkeypatch):
+        res = self._assert_same(monkeypatch, analysis, lambda: (
+            analysis.integrate_orbit(Params(2.0, 0.5),
+                                     phase.PhaseState(1.0, -1.0, 1.0), 50.0)))
+        assert res[0].terminal_event.kind is EventKind.STATE_BOUND
+
+    def test_p2_hyperbola_orbit(self, monkeypatch):
+        res = self._assert_same(monkeypatch, analysis, lambda: (
+            analysis.p2_orbit_profile(Params(2.0, 4.0))))
+        assert res[0].terminal_event.kind is EventKind.HYP_PHI_MAX_CROSS
 
 
 class TestConfigValidation:
