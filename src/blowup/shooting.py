@@ -1,16 +1,21 @@
 """Forward and backward shooting for profiles with interface.
 
 Forward shots integrate the g-equation from the axis (g = a^m, dg = 0);
-backward shots start at an interface point xi0, seeded by the local series
+backward shots start near an interface point xi0, seeded by the local series
 
-    f^((m-1)/2)(xi) ~ C * (xi0 - xi),     C = (m-1) h0 / (2 sqrt(m(m-1))),
+    g = (C delta)^p (1 + c_2 delta^2 + c_3 delta^3 + ... + c_8 delta^8),
 
-i.e. g = (C eps)^p and dg = -p C (C eps)^(p-1) with p = 2m/(m-1) at
-xi = xi0 - eps.  The same series is used on the way *in*: integrating down to
-g = 0 across the degenerate contact is hopeless (the trajectory grazes zero
-tangentially), so shots terminate on a small positive g-floor and the
-interface location is recovered from a curvature-corrected projection built
-on the ratio r = p*g/|dg| (see _project_interface).
+with delta = xi0 - xi, p = 2m/(m-1) and C = (m-1) h0 / (2 sqrt(m(m-1)))
+(the leading term is f^((m-1)/2) ~ C delta).  The coefficients follow from
+one recursion (interface_series), and the seed sits where the last two terms
+fall below 2^-52, typically at delta ~ 1e-3 .. 0.1: there the series is the
+exact solution to rounding and carries the shot through the interface layer
+in place of the stepper.  The same series is used on the way *in*:
+integrating down to g = 0 across the degenerate contact is hopeless (the
+trajectory grazes zero tangentially), so shots terminate on a small positive
+g-floor and the interface location is recovered from a curvature-corrected
+projection built on the ratio r = p*g/|dg| and c_2, c_3 (see
+_project_interface).
 
 Good profiles (f'(0) = 0) are located as roots in xi0 of the slope of the
 backward shot at the axis, bracketed on a grid and refined by the ITP method;
@@ -44,7 +49,8 @@ __all__ = [
     "SlopeUnreliable",
     "series_constant",
     "series_exponent",
-    "interface_series_state",
+    "InterfaceSeries",
+    "interface_series",
     "shoot_forward",
     "shoot_backward",
     "classify_vanish",
@@ -68,7 +74,14 @@ HANDOFF_DELTA = 0.15
 #: |dg| may exceed the series prediction by at most this factor at the
 #: handoff point and still count as an interface-type vanishing
 SERIES_RATIO_CUT = 10.0
-#: default relative seeding distance for backward shots, eps = EPS_REL * xi0
+#: order of the interface series seeding backward shots: it keeps the terms
+#: c_0 .. c_SERIES_ORDER
+SERIES_ORDER = 8
+#: backward shots are seeded where the last two series terms fall below this
+SERIES_TAIL = 2.0 ** -52
+#: relative distance xi0 - xi = EPS_REL * xi0 at which dense backward profiles
+#: end, and whose series state scales the absolute tolerances of backward
+#: shots
 EPS_REL = 1e-6
 #: default spacing of dense profile samples (quadrature accuracy ~ dx^4)
 PROFILE_DENSE_DX = 1e-3
@@ -137,16 +150,81 @@ def series_exponent(params: Params) -> float:
     return 2.0 * params.m / (params.m - 1.0)
 
 
-def interface_series_state(params: Params, xi0: float, epsilon: float
-                           ) -> Tuple[float, float]:
-    """(g, dg) of the interface series at xi = xi0 - epsilon."""
-    if xi0 <= 0.0 or not 0.0 < epsilon < xi0:
-        raise ValueError("need xi0 > 0 and 0 < epsilon < xi0")
-    C = series_constant(params)
+@dataclass(frozen=True)
+class InterfaceSeries:
+    """The vanishing branch at an interface xi0, as a truncated series.
+
+    With delta = xi0 - xi, C = series_constant and p = series_exponent,
+
+        g = (C delta)^p (c_0 + c_1 delta + ... + c_K delta^K),
+
+    where K = len(coefs) - 1; see interface_series for the coefficients.
+    """
+
+    params: Params
+    xi0: float
+    coefs: Tuple[float, ...]
+
+    def state(self, delta):
+        """(g, dg) at xi = xi0 - delta, for a float or an array of delta."""
+        C = series_constant(self.params)
+        p = series_exponent(self.params)
+        poly = dpoly = 0.0
+        for k in range(len(self.coefs) - 1, -1, -1):
+            poly = poly * delta + self.coefs[k]
+            dpoly = dpoly * delta + (p + k) * self.coefs[k]
+        cd = C * delta
+        return cd ** p * poly, -C * cd ** (p - 1.0) * dpoly
+
+    def seed_distance(self) -> float:
+        """The largest delta at which each of the last two terms is below
+        SERIES_TAIL relative to c_0 = 1, at most xi0/2."""
+        n = len(self.coefs)
+        delta = 0.5 * self.xi0
+        for k in (n - 2, n - 1):
+            c = abs(self.coefs[k])
+            if c > 0.0:
+                delta = min(delta, (SERIES_TAIL / c) ** (1.0 / k))
+        return delta
+
+
+def interface_series(params: Params, xi0: float,
+                     order: int = SERIES_ORDER) -> InterfaceSeries:
+    """The interface series at xi0, with the coefficients c_0 .. c_order.
+
+    Put g = A delta^p U(delta), U = sum_k c_k delta^k, c_0 = 1, into
+    g'' = g^(1/m)/(m-1) - (xi0 - delta)^sigma g.  The leading balance fixes
+    A = C^p (A^(1-1/m) p(p-1)(m-1) = 1); what is left is
+
+        D_k c_k = p(p-1) N_k - sum_(j <= k-2) w_j c_(k-2-j),
+        D_k = (p+k)(p+k-1) - p(p-1)/m,
+
+    with w_j the Taylor coefficients of (xi0 - delta)^sigma and N_k the part
+    of the delta^k coefficient of U^(1/m) that c_k does not enter (Miller's
+    power recursion).  D_k > 0 for k >= 1, so no term resonates; c_1 = 0,
+    c_2 = -xi0^sigma/D_2 and c_3 = sigma xi0^(sigma-1)/D_3.
+    """
+    if not xi0 > 0.0:
+        raise ValueError("xi0 must be > 0")
+    m, sigma = params.m, params.sigma
     p = series_exponent(params)
-    g = (C * epsilon) ** p
-    dg = -p * C * (C * epsilon) ** (p - 1.0)
-    return g, dg
+    inv_m = 1.0 / m
+    pp1 = p * (p - 1.0)
+    w = []
+    binom = 1.0
+    for j in range(order - 1):
+        w.append(binom * xi0 ** (sigma - j))
+        binom *= -(sigma - j) / (j + 1)
+    c = [1.0]
+    v = [1.0]  # coefficients of U^(1/m)
+    for k in range(1, order + 1):
+        nk = sum(((inv_m + 1.0) * j - k) * c[j] * v[k - j]
+                 for j in range(1, k)) / k
+        forcing = sum(w[j] * c[k - 2 - j] for j in range(k - 1))
+        dk = (p + k) * (p + (k - 1)) - pp1 / m
+        c.append((pp1 * nk - forcing) / dk)
+        v.append(nk + inv_m * c[k])
+    return InterfaceSeries(params, float(xi0), tuple(c))
 
 
 def _series_dg(params: Params, g: float) -> float:
@@ -301,17 +379,16 @@ def _project_interface(params: Params, xi: float, g: float, dg: float,
     """Interface location from the local series at (xi, g, dg).
 
     With delta the distance to the interface, the vanishing branch expands as
-    g = A delta^p (1 + c2 delta^2 + c3 delta^3 + ...) where the corrections
-    are forced by the weight: c2 = -xi0^sigma / D2 and
-    c3 = sigma xi0^(sigma-1) / D3 with Dk = (p+k)(p+k-1) - p(p-1)/m.  The
-    raw ratio r = p g / |dg| equals delta (1 - (2/p) c2 delta^2 - ...), so
+    g = A delta^p (1 + c2 delta^2 + c3 delta^3 + ...), the series of
+    interface_series (c2 = -xi0^sigma / D2, c3 = sigma xi0^(sigma-1) / D3),
+    here taken at the estimate xi0 = xi + r.  The raw ratio r = p g / |dg|
+    equals delta (1 - (2/p) c2 delta^2 - ...), so
 
         delta = r (1 + (2/p) c2 r^2 + (3/p) c3 r^3) + O(r^4-ish).
 
     Where dg has been flattened by a grazing minimum the series inversion
     through the known amplitude C is used instead.
     """
-    m, sigma = params.m, params.sigma
     p = series_exponent(params)
     C = series_constant(params)
     delta_series = g ** (1.0 / p) / C
@@ -319,10 +396,7 @@ def _project_interface(params: Params, xi: float, g: float, dg: float,
         r = min(p * g / abs(dg), 1.5 * delta_series)
         xi0_est = xi + direction * r
         if xi0_est > 0.0:
-            d2 = (p + 2.0) * (p + 1.0) - p * (p - 1.0) / m
-            d3 = (p + 3.0) * (p + 2.0) - p * (p - 1.0) / m
-            c2 = -xi0_est ** sigma / d2
-            c3 = sigma * xi0_est ** (sigma - 1.0) / d3 if sigma > 0.0 else 0.0
+            _, _, c2, c3 = interface_series(params, xi0_est, 3).coefs
             r = r * (1.0 + (2.0 / p) * c2 * r * r
                      + (3.0 / p) * c3 * r ** 3)
         delta = r
@@ -397,7 +471,9 @@ def _shoot(params: Params, provenance: Union[ForwardShot, BackwardShot],
            cfg: IntegratorConfig, track_events: bool,
            at_end: Callable[[IntegrationResult], ShotOutcome],
            origin: Optional[Tuple[float, float]] = None,
-           interface: Optional[float] = None) -> Tuple[Profile, ShotOutcome]:
+           interface: Optional[float] = None,
+           head: Optional[Tuple[np.ndarray, np.ndarray]] = None
+           ) -> Tuple[Profile, ShotOutcome]:
     """One shot of the profile ODE over t_span, assembled into a Profile.
 
     The shot stops on the g-floor handoff (classified by _resolve_vanish), on
@@ -405,7 +481,7 @@ def _shoot(params: Params, provenance: Union[ForwardShot, BackwardShot],
     the span, where at_end(result) gives the outcome.  origin is the axis
     state (g, f') when the shot starts there; a ReachedOrigin outcome
     supplies it otherwise.  interface defaults to that of an Interface
-    outcome.
+    outcome.  head holds samples (t, y) that precede t_span[0].
     """
     rhs = profile_rhs(params)
     events = [_g_floor_event(_g_floor_fn(params, g_start)),
@@ -432,6 +508,8 @@ def _shoot(params: Params, provenance: Union[ForwardShot, BackwardShot],
                                             t_span[1])
 
     t, y, records = _merge(res, res2)
+    if head is not None:
+        t, y = np.concatenate((head[0], t)), np.concatenate((head[1], y))
     if isinstance(outcome, ReachedOrigin):
         origin = (float(y[np.argmin(t), 0]), outcome.slope)
     if interface is None and isinstance(outcome, Interface):
@@ -483,19 +561,38 @@ def shoot_backward(params: Params, xi0: float, epsilon: Optional[float] = None,
     axis; otherwise the vanishing is classified as for forward shots (a shot
     that vanishes again before the axis cannot carry a good profile).
 
-    The absolute tolerances are rescaled to the series seed: errors committed
-    while g ~ (C eps)^p are amplified like (delta/eps)^(p-1) on the way out of
-    the interface layer, so a fixed abs_tol of 1e-12 would destroy the shot.
+    The seed is the state of interface_series at delta = epsilon, by
+    default its seed_distance: the series is the exact local solution to
+    rounding up to there, so it carries the shot through the interface
+    layer, where on g ~ delta^p the stepper would take about 16 steps per
+    decade of delta.  With dense samples the span from the seed to
+    xi0 - EPS_REL xi0, where dense profiles end, is filled with series
+    samples on the dense_dx grid.
+
+    The absolute tolerances are 1e-8 times the series state at
+    delta = min(epsilon, EPS_REL xi0): errors committed while g ~ (C delta)^p
+    are amplified like (delta'/delta)^(p-1) on the way out of the interface
+    layer, so a fixed abs_tol of 1e-12 would destroy the shot.  They stay at
+    that depth when the seed lies farther out, so the steps after the seed
+    are controlled as tightly as those of a shot seeded at EPS_REL xi0;
+    scaled to the seed, they would admit errors of 1e-8 relative there.
     """
-    if xi0 <= 0.0:
-        raise ValueError("xi0 must be > 0")
-    eps = EPS_REL * xi0 if epsilon is None else float(epsilon)
-    g0, dg0 = interface_series_state(params, xi0, eps)
+    series = interface_series(params, xi0)
+    eps = series.seed_distance() if epsilon is None else float(epsilon)
+    if not 0.0 < eps < xi0:
+        raise ValueError("need 0 < epsilon < xi0")
+    xi_seed = xi0 - eps
+    eps = xi0 - xi_seed  # the seed state sits at the float xi_seed exactly
+    g0, dg0 = series.state(eps)
+    g_tol, dg_tol = series.state(min(eps, EPS_REL * xi0))
     cfg = config or IntegratorConfig()
-    abs_tol = np.array([max(1e-8 * g0, 1e-300), max(1e-8 * abs(dg0), 1e-300)])
+    abs_tol = np.array([max(1e-8 * g_tol, 1e-300),
+                        max(1e-8 * abs(dg_tol), 1e-300)])
     cfg = replace(cfg, abs_tol=abs_tol)
     if dense_dx is not None and cfg.dense_dx is None:
         cfg = replace(cfg, dense_dx=dense_dx)
+    head = _series_samples(series, xi_seed, cfg.dense_dx) if cfg.dense_dx \
+        else None
 
     def at_axis(res: IntegrationResult) -> ShotOutcome:
         g_end, dg_end = float(res.y[-1, 0]), float(res.y[-1, 1])
@@ -505,22 +602,37 @@ def shoot_backward(params: Params, xi0: float, epsilon: Optional[float] = None,
         return ReachedOrigin(g_end ** (1.0 / params.m),
                              _slope_from_state(params, g_end, dg_end))
 
-    return _shoot(params, BackwardShot(xi0, eps), [g0, dg0], (xi0 - eps, 0.0),
-                  np.inf, cfg, track_events, at_axis, interface=xi0)
+    return _shoot(params, BackwardShot(xi0, eps), [g0, dg0], (xi_seed, 0.0),
+                  np.inf, cfg, track_events, at_axis, interface=xi0,
+                  head=head)
 
 
-def slope_fn(params: Params, xi0: float, epsilon_rel: float = EPS_REL,
+def _series_samples(series: InterfaceSeries, xi_seed: float, dx: float
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Series samples xi0 - EPS_REL xi0, ... - dx, ... down to the last point
+    above xi_seed (none if the seed lies closer to xi0), with their (g, dg)
+    rows, in the order of a backward shot."""
+    xi0 = series.xi0
+    xi_end = xi0 - EPS_REL * xi0
+    xi = xi_end - dx * np.arange(np.ceil((xi_end - xi_seed) / dx))
+    xi = xi[xi > xi_seed]
+    g, dg = series.state(xi0 - xi)
+    return xi, np.column_stack((g, dg))
+
+
+def slope_fn(params: Params, xi0: float, epsilon_rel: Optional[float] = None,
              config: Optional[IntegratorConfig] = None) -> float:
-    """f'(0) of one bare backward shot from xi0, seeded at epsilon_rel * xi0.
+    """f'(0) of one bare backward shot from xi0, seeded at epsilon_rel * xi0
+    (by default at the series seed distance of shoot_backward).
 
     It is the slope of the dense, event-tracking shot from the same seed,
     bit for bit: neither changes the accepted steps.  SlopeUnreliable is
     raised when the shot does not reach the axis.  The seed-distance check
     is made once per root, by find_good_profiles.
     """
-    _, outcome = shoot_backward(params, xi0, epsilon=epsilon_rel * xi0,
-                                config=config, dense_dx=None,
-                                track_events=False)
+    epsilon = None if epsilon_rel is None else epsilon_rel * xi0
+    _, outcome = shoot_backward(params, xi0, epsilon=epsilon, config=config,
+                                dense_dx=None, track_events=False)
     if not isinstance(outcome, ReachedOrigin):
         raise SlopeUnreliable(
             f"backward shot from xi0={xi0} did not reach the axis: {outcome}")
@@ -560,7 +672,8 @@ def _validate_good(params: Params, xi0: float, slope_tol: float,
     if abs(outcome.slope) >= slope_tol:
         raise SlopeUnreliable(
             f"slope {outcome.slope} at xi0={xi0} above tolerance {slope_tol}")
-    half_seed = slope_fn(params, xi0, 0.5 * EPS_REL, config)
+    half_seed = slope_fn(params, xi0, 0.5 * profile.provenance.epsilon / xi0,
+                         config)
     if abs(half_seed - outcome.slope) > SEED_AGREEMENT_TOL * (
             1.0 + abs(outcome.slope)):
         raise SlopeUnreliable(

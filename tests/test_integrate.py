@@ -220,10 +220,10 @@ class TestBatchedDenseSamples:
         return res, steps, samples
 
     def test_backward_profile_shot(self):
-        from blowup.shooting import interface_series_state, profile_rhs
+        from blowup.shooting import interface_series, profile_rhs
         params, xi0 = Params(2.0, 0.1), 12.0
         eps = 1e-6 * xi0
-        g0, dg0 = interface_series_state(params, xi0, eps)
+        g0, dg0 = interface_series(params, xi0).state(eps)
         cfg = IntegratorConfig(abs_tol=np.array([1e-8 * g0, 1e-8 * abs(dg0)]),
                                dense_dx=1e-3)
         _, steps, samples = self._check(profile_rhs(params), [g0, dg0],
@@ -543,10 +543,10 @@ class TestScipyOracle:
                                        cfg)
 
     def test_profile_ode_from_interface_seed(self):
-        from blowup.shooting import interface_series_state, profile_rhs
+        from blowup.shooting import interface_series, profile_rhs
         params, xi0 = Params(2.0, 0.1), 12.0
         eps = 1e-6 * xi0
-        g0, dg0 = interface_series_state(params, xi0, eps)
+        g0, dg0 = interface_series(params, xi0).state(eps)
         # the backward shot's tolerances, without its events
         cfg = IntegratorConfig(abs_tol=np.array([1e-8 * g0, 1e-8 * abs(dg0)]))
         rhs = profile_rhs(params)

@@ -6,19 +6,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blowup import shooting
-from blowup.integrate import EventKind, EventRecord, IntegratorConfig
-from blowup.model import Params, explicit_interface_F0
-from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, Exhausted, Interface,
-                             ReachedOrigin, VanishKind, VerticalSlope,
-                             _itp_root, _validate_good, classify_vanish,
-                             count_maxima, find_good_profiles,
-                             interface_series_state, multiplicity_scan,
-                             nonexistence_gap, series_constant,
+from blowup.integrate import (EventKind, EventRecord, IntegratorConfig,
+                              integrate)
+from blowup.model import Params, explicit_interface_F0, g_field
+from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, SERIES_ORDER,
+                             Exhausted, Interface, ReachedOrigin, VanishKind,
+                             VerticalSlope, _itp_root, _validate_good,
+                             classify_vanish, count_maxima,
+                             find_good_profiles, interface_series,
+                             multiplicity_scan, nonexistence_gap,
+                             profile_rhs, series_constant, series_exponent,
                              shoot_backward, shoot_forward, slope_fn)
 
 P20 = Params(m=2.0, sigma=0.0)
 P201 = Params(m=2.0, sigma=0.1)
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+_series_params = dict(m=st.floats(1.1, 5.0, exclude_min=True),
+                      sigma=st.floats(0.0, 5.0),
+                      xi0=st.floats(0.2, 80.0))
 
 
 class TestSeriesSeed:
@@ -30,17 +37,133 @@ class TestSeriesSeed:
                 np.sqrt((m - 1.0) / (2.0 * m * (m + 1.0))), rel=1e-14)
 
     def test_seed_state(self):
+        # at sigma = 0 and m = 2 the series is (C delta)^4 (1 - delta^2/24
+        # + O(delta^4)), D2 = 6*5 - 4*3/2 = 24
         p = Params(m=2.0, sigma=0.0)
-        C = series_constant(p)
-        g, dg = interface_series_state(p, 5.0, 1e-4)
-        assert g == pytest.approx((C * 1e-4) ** 4, rel=1e-12)
-        assert dg == pytest.approx(-4.0 * C * (C * 1e-4) ** 3, rel=1e-12)
+        C, d = series_constant(p), 1e-4
+        g, dg = interface_series(p, 5.0).state(d)
+        assert g == pytest.approx((C * d) ** 4 * (1.0 - d * d / 24.0),
+                                  rel=1e-14)
+        assert dg == pytest.approx(
+            -4.0 * C * (C * d) ** 3 * (1.0 - 1.5 * d * d / 24.0), rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            interface_series_state(P20, -1.0, 1e-6)
+            interface_series(P20, -1.0)
         with pytest.raises(ValueError):
-            interface_series_state(P20, 1.0, 2.0)
+            shoot_backward(P20, 1.0, epsilon=2.0)
+        with pytest.raises(ValueError):
+            shoot_backward(P20, 1.0, epsilon=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**_series_params)
+    def test_closed_form_low_terms(self, m, sigma, xi0):
+        # the forms _project_interface used inline, to the bit
+        c = interface_series(Params(m, sigma), xi0).coefs
+        p = 2.0 * m / (m - 1.0)
+        d2 = (p + 2.0) * (p + 1.0) - p * (p - 1.0) / m
+        d3 = (p + 3.0) * (p + 2.0) - p * (p - 1.0) / m
+        assert len(c) == SERIES_ORDER + 1
+        assert c[:2] == (1.0, 0.0)
+        assert c[2] == -xi0 ** sigma / d2
+        assert c[3] == sigma * xi0 ** (sigma - 1.0) / d3
+
+    @settings(max_examples=300, deadline=None)
+    @given(**_series_params, frac=st.floats(1e-3, 1.0))
+    def test_solves_the_profile_equation(self, m, sigma, xi0, frac):
+        # the series' own g'' against the field, at every delta up to the
+        # seed: equal up to rounding, which the power g = (C delta)^p
+        # amplifies p-fold
+        params = Params(m, sigma)
+        series = interface_series(params, xi0)
+        seed = series.seed_distance()
+        assert 0.0 < seed <= 0.5 * xi0
+        d = frac * seed
+        g, _ = series.state(d)
+        assume(g > 1e-250)
+        C, p = series_constant(params), series_exponent(params)
+        g2 = (C * d) ** p * sum(c * (p + k) * (p + k - 1.0) * d ** (k - 2)
+                                for k, c in enumerate(series.coefs))
+        scale = g ** (1.0 / m) / (m - 1.0)
+        assert abs(g2 - g_field(params)(xi0 - d, g)) \
+            <= 16.0 * p * 2.0 ** -52 * scale
+
+    @pytest.mark.parametrize("m", [1.25, 1.5, 2.0, 3.0, 5.0])
+    def test_sigma0_explicit_profile(self, m):
+        # at sigma = 0 the vanishing branch is F0^m with
+        # F0 = amp cos^(2/(m-1))(omega xi) and omega xi0 = pi/2, so
+        # g = amp^m sin^p(omega delta): the series state, dg included,
+        # matches it up to the seed
+        params = Params(m, 0.0)
+        xi0 = explicit_interface_F0(m)
+        series = interface_series(params, xi0)
+        p, omega = series_exponent(params), (m - 1.0) / (2.0 * m)
+        amp_m = (2.0 * m / ((m + 1.0) * (m - 1.0))) ** (m / (m - 1.0))
+        for d in series.seed_distance() * np.array([1.0, 0.5, 1e-2, 1e-4]):
+            g, dg = series.state(d)
+            s, c = np.sin(omega * d), np.cos(omega * d)
+            assert g == pytest.approx(amp_m * s ** p, rel=64 * p * 2.0 ** -52)
+            assert dg == pytest.approx(-amp_m * p * s ** (p - 1.0) * omega * c,
+                                       rel=64 * p * 2.0 ** -52)
+
+
+_LEADING_ORDER_CASES = [(2.0, 0.1, 12.0), (2.0, 0.0, 2.0 * np.pi),
+                        (2.0, 4.0, 8.045), (2.0, 4.0, 0.545),
+                        (1.5, 0.1, 10.0), (3.0, 0.3, 12.5), (1.25, 0.5, 3.0),
+                        (4.0, 0.1, 20.0), (2.0, 0.1, 79.0)]
+
+
+class TestSeriesSeedShots:
+    @pytest.mark.parametrize("m, sigma, xi0", _LEADING_ORDER_CASES)
+    def test_slope_matches_leading_order_seed(self, m, sigma, xi0):
+        # the axis slope from the series seed against a shot seeded as
+        # before, by the leading term at EPS_REL * xi0, with the same
+        # absolute tolerances and no events
+        params = Params(m, sigma)
+        C, p = series_constant(params), series_exponent(params)
+        eps = EPS_REL * xi0
+        g0, dg0 = (C * eps) ** p, -p * C * (C * eps) ** (p - 1.0)
+        cfg = IntegratorConfig(abs_tol=np.array([1e-8 * g0, 1e-8 * abs(dg0)]))
+        res = integrate(profile_rhs(params), [g0, dg0], (xi0 - eps, 0.0),
+                        config=cfg)
+        g, dg = res.y[-1]
+        old = dg / (m * g ** ((m - 1.0) / m))
+        new = slope_fn(params, xi0)
+        assert abs(new - old) <= 1e-9 * (1.0 + abs(old))
+
+    @pytest.mark.parametrize("sigma, xi0", [(0.1, 12.0), (4.0, 0.545)])
+    def test_dense_tail(self, sigma, xi0):
+        # dense profiles end at xi0 - EPS_REL xi0; from there to the seed
+        # they hold series samples on the dense_dx grid, which the first
+        # integrated samples continue
+        params, dx = Params(2.0, sigma), 1e-3
+        series = interface_series(params, xi0)
+        prof, out = shoot_backward(params, xi0, dense_dx=dx)
+        assert isinstance(out, ReachedOrigin)
+        # the seed distance, rounded to where the float seed point sits
+        eps = prof.provenance.epsilon
+        assert eps == xi0 - (xi0 - series.seed_distance())
+        assert prof.xi[-1] == xi0 - EPS_REL * xi0
+        tail = prof.xi > xi0 - eps
+        assert np.count_nonzero(tail) == int(np.ceil((eps - EPS_REL * xi0)
+                                                     / dx))
+        assert np.allclose(np.diff(prof.xi[tail]), dx, rtol=0.0, atol=1e-12)
+        assert np.all(prof.g >= 0.0)
+        g, dg = series.state(xi0 - prof.xi[tail])
+        assert np.array_equal(prof.g[tail], g)
+        assert np.array_equal(prof.dg[tail], dg)
+        near = (prof.xi <= xi0 - eps) & (prof.xi > xi0 - 2.0 * eps)
+        g, dg = series.state(xi0 - prof.xi[near])
+        assert np.count_nonzero(near) > 3
+        assert np.allclose(prof.g[near], g, rtol=1e-9, atol=0.0)
+        assert np.allclose(prof.dg[near], dg, rtol=1e-9, atol=0.0)
+
+    def test_bare_shot_starts_at_the_seed(self):
+        prof, _ = shoot_backward(P201, 12.0, dense_dx=None)
+        series = interface_series(P201, 12.0)
+        assert prof.xi[-1] == 12.0 - series.seed_distance()
+        assert (prof.g[-1], prof.dg[-1]) == series.state(
+            prof.provenance.epsilon)
 
 
 class TestForwardShot:
@@ -133,11 +256,11 @@ class TestBackwardShot:
         assert np.max(np.abs(extrema - changes)) < 1.5e-3
 
     def test_step_count(self):
-        # the 8th-order stepper takes 154 accepted steps on this shot; every
-        # stored point without dense output is a step end
+        # the 8th-order stepper takes 89 accepted steps on this shot from the
+        # series seed; every stored point without dense output is a step end
         prof, out = shoot_backward(P201, 12.0, dense_dx=None)
         assert isinstance(out, ReachedOrigin)
-        assert len(prof.xi) - 1 <= 160
+        assert len(prof.xi) - 1 <= 100
 
 
 class TestClassifyVanish:
@@ -262,13 +385,15 @@ class TestSearchContract:
         assert len(calls) - 33 <= 6 * len(found)
 
     def test_seed_disagreement_discards_root(self, monkeypatch):
+        # grid and ITP shots take the default series seed (epsilon_rel None);
+        # the one check per root halves it
         original = shooting.slope_fn
-        epsilons = []
+        calls = []
 
-        def half_seed_moves(params, xi0, epsilon_rel=EPS_REL, config=None):
-            epsilons.append(epsilon_rel)
+        def half_seed_moves(params, xi0, epsilon_rel=None, config=None):
+            calls.append((xi0, epsilon_rel))
             s = original(params, xi0, epsilon_rel, config)
-            return s + 1e-3 if epsilon_rel != EPS_REL else s
+            return s + 1e-3 if epsilon_rel is not None else s
 
         monkeypatch.setattr(shooting, "slope_fn", half_seed_moves)
         with warnings.catch_warnings(record=True) as caught:
@@ -279,8 +404,12 @@ class TestSearchContract:
         assert len(messages) == 1, messages
         assert "discarding root" in messages[0]
         assert "seed distance" in messages[0]
-        assert epsilons.count(0.5 * EPS_REL) == 1
-        assert epsilons[:4] == [EPS_REL] * 4
+        halved = [(x, e) for x, e in calls if e is not None]
+        assert len(halved) == 1
+        xi0, eps_rel = halved[0]
+        seed = interface_series(P20, xi0).seed_distance()
+        assert eps_rel * xi0 == pytest.approx(0.5 * seed, rel=1e-12)
+        assert [e for _, e in calls[:4]] == [None] * 4
 
 
 def _cubic(root, c, d, sign):
