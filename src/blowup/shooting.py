@@ -188,9 +188,9 @@ class InterfaceSeries:
         return delta
 
 
-def interface_series(params: Params, xi0: float,
-                     order: int = SERIES_ORDER) -> InterfaceSeries:
-    """The interface series at xi0, with the coefficients c_0 .. c_order.
+def interface_series(params: Params, xi0: float) -> InterfaceSeries:
+    """The interface series at xi0, with the coefficients c_0 .. c_K,
+    K = SERIES_ORDER.
 
     Put g = A delta^p U(delta), U = sum_k c_k delta^k, c_0 = 1, into
     g'' = g^(1/m)/(m-1) - (xi0 - delta)^sigma g.  The leading balance fixes
@@ -212,12 +212,12 @@ def interface_series(params: Params, xi0: float,
     pp1 = p * (p - 1.0)
     w = []
     binom = 1.0
-    for j in range(order - 1):
+    for j in range(SERIES_ORDER - 1):
         w.append(binom * xi0 ** (sigma - j))
         binom *= -(sigma - j) / (j + 1)
     c = [1.0]
     v = [1.0]  # coefficients of U^(1/m)
-    for k in range(1, order + 1):
+    for k in range(1, SERIES_ORDER + 1):
         nk = sum(((inv_m + 1.0) * j - k) * c[j] * v[k - j]
                  for j in range(1, k)) / k
         forcing = sum(w[j] * c[k - 2 - j] for j in range(k - 1))
@@ -396,7 +396,7 @@ def _project_interface(params: Params, xi: float, g: float, dg: float,
         r = min(p * g / abs(dg), 1.5 * delta_series)
         xi0_est = xi + direction * r
         if xi0_est > 0.0:
-            _, _, c2, c3 = interface_series(params, xi0_est, 3).coefs
+            _, _, c2, c3 = interface_series(params, xi0_est).coefs[:4]
             r = r * (1.0 + (2.0 / p) * c2 * r * r
                      + (3.0 / p) * c3 * r ** 3)
         delta = r
@@ -579,10 +579,10 @@ def shoot_backward(params: Params, xi0: float, epsilon: Optional[float] = None,
     """
     series = interface_series(params, xi0)
     eps = series.seed_distance() if epsilon is None else float(epsilon)
-    if not 0.0 < eps < xi0:
-        raise ValueError("need 0 < epsilon < xi0")
     xi_seed = xi0 - eps
     eps = xi0 - xi_seed  # the seed state sits at the float xi_seed exactly
+    if not 0.0 < eps < xi0:
+        raise ValueError("need 0 < epsilon < xi0 (and xi0 - epsilon != xi0)")
     g0, dg0 = series.state(eps)
     g_tol, dg_tol = series.state(min(eps, EPS_REL * xi0))
     cfg = config or IntegratorConfig()

@@ -54,6 +54,8 @@ class TestSeriesSeed:
             shoot_backward(P20, 1.0, epsilon=2.0)
         with pytest.raises(ValueError):
             shoot_backward(P20, 1.0, epsilon=0.0)
+        with pytest.raises(ValueError):  # rounds to xi0 - epsilon == xi0
+            shoot_backward(P201, 12.0, epsilon=1e-18)
 
     @settings(max_examples=200, deadline=None)
     @given(**_series_params)
