@@ -105,7 +105,7 @@ def _check_4_nonexistence_gap(seed: int) -> Tuple[bool, str]:
 
     # sign-only scan: single shots at a relaxed tolerance (slopes are
     # O(1e-2..0.4) here, far above the integration noise this admits)
-    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-12)
+    cfg = IntegratorConfig(rel_tol=1e-6)
     xs = np.linspace(0.1, 20.0, 201)
     n_pos = 0
     n_bad = 0

@@ -68,7 +68,7 @@ def integrate_orbit(params: Params, start: PhaseState, eta_max: float,
     classification is the nearest finite catalog point within
     NEIGHBORHOOD_RADIUS, a divergence direction, or "interior".
     """
-    cfg = config or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+    cfg = config or IntegratorConfig()
     res = integrate(main_rhs(params), start.as_array(), (0.0, eta_max),
                     events=(_norm_bound_event(bound),), config=cfg)
     states = res.y
@@ -215,7 +215,7 @@ def p2_orbit_profile(params: Params, delta: float = 1e-6,
     level = 1.0 / m
     cross = Event(EventKind.HYP_PHI_MAX_CROSS, lambda t, y: y[2] - level,
                   direction=+1, terminal=True, one_sign=off_level(2, level))
-    cfg = config or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+    cfg = config or IntegratorConfig()
     res = integrate(main_rhs(params), start, (0.0, eta_max), events=(cross,),
                     config=cfg)
     if res.terminal_event is None:

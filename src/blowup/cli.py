@@ -106,6 +106,10 @@ def _outcome_dict(outcome) -> dict:
 
 def cmd_profile(args) -> int:
     params = Params(m=args.m, sigma=args.sigma)
+    if args.xi0 is not None and args.abs_tol is not None:
+        raise UsageError("--abs-tol applies to forward shots only: backward "
+                         "shots set their absolute tolerances from the "
+                         "interface series")
     cfg = _config(args)
     if args.a is not None:
         profile, outcome = shooting.shoot_forward(
@@ -272,9 +276,14 @@ def _add_common(p: argparse.ArgumentParser, sigma_list: bool = False) -> None:
         p.add_argument("--sigma", type=float, required=True,
                        help="weight exponent sigma >= 0")
     p.add_argument("--out", type=str, default=None, help="output path")
+
+
+def _add_integration(p: argparse.ArgumentParser, abs_tol: bool = True) -> None:
+    # scan runs backward shots only, which set their own absolute tolerances
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
+    if abs_tol:
+        p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="compute one profile (forward or backward)")
     _add_common(p)
+    _add_integration(p)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--a", type=float, default=None,
                    help="forward shot from f(0) = a, f'(0) = 0")
@@ -297,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="good-profile multiplicity scan over sigma")
     _add_common(p, sigma_list=True)
+    _add_integration(p, abs_tol=False)
     p.add_argument("--xi0-max", dest="xi0_max", type=float, required=True)
     p.add_argument("--grid", dest="grid_dx", type=float, default=0.5,
                    help="xi0 grid spacing for the sign scan")
@@ -304,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase", help="integrate one orbit of the (X,Y,Z) system")
     _add_common(p)
+    _add_integration(p)
     p.add_argument("--start", type=str, required=True, help="X,Y,Z")
     p.add_argument("--eta-max", dest="eta_max", type=float, default=500.0)
     p.set_defaults(fn=cmd_phase)

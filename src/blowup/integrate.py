@@ -30,7 +30,7 @@ whole step; such a step costs the event one call, at the step end.  Only
 when no certificate clears a step are the event's signs read on
 EVENT_SAMPLES equal subintervals of it, and a sign change refined by
 bisection on the dense output until the event function is below
-`event_tol` (bisection rather than Newton: near the degenerate interface
+EVENT_TOL (bisection rather than Newton: near the degenerate interface
 the relevant functions are extremely flat).  A certificate clears only
 steps on which the sampling finds no sign change, so the screen changes no
 result.
@@ -62,6 +62,10 @@ __all__ = [
 
 #: dense-output subintervals per accepted step on which event signs are read
 EVENT_SAMPLES = 8
+#: event bisection stops once the event function is below this in magnitude
+EVENT_TOL = 1e-12
+#: integrate raises MaxStepsExceeded after this many accepted steps
+MAX_STEPS = 10_000_000
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10),
 # nonzero entries only, 1-based as in Hairer's DOP853: stage i is
@@ -272,17 +276,12 @@ class EventRecord:
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: Union[float, np.ndarray] = 1e-12
-    max_step: float = np.inf
     first_step: Optional[float] = None
-    max_steps: int = 10_000_000
-    event_tol: float = 1e-12
     dense_dx: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or np.any(np.asarray(self.abs_tol) <= 0):
             raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
         if self.dense_dx and not self.dense_dx > 0:   # 0 or None: no samples
             raise ValueError("dense_dx must be positive")
 
@@ -408,7 +407,7 @@ def _error_norm(h: float, y: tuple, y_new: tuple, stages: tuple,
 
 
 def _initial_step(rhs: Callable, t0: float, y0: tuple, f0: Sequence[float],
-                  t_bound: float, max_step: float, direction: float,
+                  t_bound: float, direction: float,
                   rtol: float, atol: Sequence[float]) -> float:
     """Hairer's starting step (Solving ODEs I, II.4), costing one rhs call."""
     interval = abs(t_bound - t0)
@@ -424,7 +423,7 @@ def _initial_step(rhs: Callable, t0: float, y0: tuple, f0: Sequence[float],
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
-    return min(100 * h0, h1, interval, max_step)
+    return min(100 * h0, h1, interval)
 
 
 def _interpolant(rhs: Callable, t_old: float, h: float, y_old: tuple,
@@ -604,9 +603,8 @@ def _crossing_ok(ev: Event, fa: float, fb: float) -> bool:
 
 
 def _bisect_event(fn: Callable, q: List[tuple], t_old: float, h: float,
-                  ta: float, tb: float, fa: float,
-                  event_tol: float) -> Tuple[float, tuple]:
-    # fa has the sign to keep on the left; stop on |f| < event_tol.  The
+                  ta: float, tb: float, fa: float) -> Tuple[float, tuple]:
+    # fa has the sign to keep on the left; stop on |f| < EVENT_TOL.  The
     # points are read on the step's interpolant q from t_old over h.
     lo, hi, flo = ta, tb, fa
     width_tol = 1e-14 * max(1.0, abs(ta), abs(tb))
@@ -614,7 +612,7 @@ def _bisect_event(fn: Callable, q: List[tuple], t_old: float, h: float,
         mid = 0.5 * (lo + hi)
         ym = _dense_states(q, t_old, h, (mid,))[0]
         fm = fn(mid, ym)
-        if abs(fm) < event_tol or abs(hi - lo) < width_tol:
+        if abs(fm) < EVENT_TOL or abs(hi - lo) < width_tol:
             return mid, ym
         if (flo < 0.0) == (fm < 0.0):
             lo, flo = mid, fm
@@ -650,16 +648,12 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
     atol = np.broadcast_to(np.asarray(cfg.abs_tol, dtype=float),
                            (len(y),)).tolist()
     rtol = max(cfg.rel_tol, _MIN_REL_TOL)
-    max_step = float(cfg.max_step)
-    if max_step <= 0.0:
-        raise ValueError("max_step must be positive")
     direction = 1.0 if t1 > t0 else -1.0
     toward = direction * math.inf
 
     f = rhs(t0, y)
     if cfg.first_step is None:
-        h_abs = _initial_step(rhs, t0, y, f, t1, max_step, direction, rtol,
-                              atol)
+        h_abs = _initial_step(rhs, t0, y, f, t1, direction, rtol, atol)
     elif 0.0 < cfg.first_step <= abs(t1 - t0):
         h_abs = float(cfg.first_step)
     else:
@@ -683,16 +677,14 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
                                  reason, n_steps)
 
     while direction * (t - t1) < 0.0:
-        if n_steps >= cfg.max_steps:
-            raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps",
+        if n_steps >= MAX_STEPS:
+            raise MaxStepsExceeded(f"exceeded {MAX_STEPS} steps",
                                    result("aborted"))
         n_steps += 1
 
         # --- one accepted step under DOP853's step-size control ---
         min_step = 10.0 * abs(math.nextafter(t, toward) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
@@ -752,7 +744,7 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
                     if not _crossing_ok(ev, vals[i], vals[i + 1]):
                         continue
                     te, ye = _bisect_event(fn, q, t_old, h, tt[i],
-                                           tt[i + 1], vals[i], cfg.event_tol)
+                                           tt[i + 1], vals[i])
                     step_hits.append(EventRecord(ev.kind, te, np.array(ye),
                                                  ev.terminal))
             step_hits.sort(key=lambda r: direction * r.t)

@@ -83,8 +83,9 @@ class BackwardShot:
     """Provenance: integrated from the interface xi0 seeded at xi0 - epsilon.
 
     epsilon is the distance from xi0 at which integration starts, the seed
-    distance of the interface series unless the caller chose one; dense
-    profiles hold series samples between there and xi0 - 1e-6 xi0.
+    distance of the interface series rounded so that xi0 - epsilon is a
+    float; dense profiles hold series samples between there and
+    xi0 - 1e-6 xi0.
     """
 
     xi0: float

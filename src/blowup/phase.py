@@ -438,7 +438,7 @@ def p3_spiral_diagnostic(params: Params, start: PhaseState, turns: int,
     """
     if turns < 2:
         raise ValueError("need at least 2 returns to diagnose growth")
-    cfg = config or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+    cfg = config or IntegratorConfig()
 
     def inside_or_beyond_exit(t_a, t_b, boxes):
         lo, hi = boxes[1]

@@ -202,6 +202,29 @@ class TestUsageErrors:
         # m <= 1 is rejected by the library with a usage exit code
         assert run(["bounds", "--m", "1.0", "--sigma", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--m", "2", "--sigma", "0.1", "--xi0-max", "16",
+         "--abs-tol", "1e-3"],
+        ["points", "--m", "2", "--sigma", "1", "--rel-tol", "1e-8"],
+        ["points", "--m", "2", "--sigma", "1", "--format", "json"],
+        ["bounds", "--m", "2", "--sigma", "4", "--abs-tol", "1e-3"],
+        ["bounds", "--m", "2", "--sigma", "4", "--format", "csv"],
+    ])
+    def test_flags_that_change_nothing(self, argv, capsys):
+        # backward shots set their own absolute tolerances, and points and
+        # bounds integrate nothing and always write JSON
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_backward_profile_abs_tol(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert run(["profile", "--m", "2", "--sigma", "0.1", "--xi0", "12",
+                    "--abs-tol", "1e-3", "--out", str(out)]) == 2
+        assert "--abs-tol" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSigmaZeroAmplitudeSensitivity:
     def test_truncated_amplitude_oscillates(self, tmp_path):

@@ -50,12 +50,11 @@ class TestSeriesSeed:
     def test_validation(self):
         with pytest.raises(ValueError):
             interface_series(P20, -1.0)
+        # the seed distance, 8.7e-18, rounds to xi0 - delta == xi0
+        assert 0.0 < interface_series(Params(2.0, 16.0),
+                                      100.0).seed_distance() < 1e-17
         with pytest.raises(ValueError):
-            shoot_backward(P20, 1.0, epsilon=2.0)
-        with pytest.raises(ValueError):
-            shoot_backward(P20, 1.0, epsilon=0.0)
-        with pytest.raises(ValueError):  # rounds to xi0 - epsilon == xi0
-            shoot_backward(P201, 12.0, epsilon=1e-18)
+            shoot_backward(Params(2.0, 16.0), 100.0)
 
     @settings(max_examples=200, deadline=None)
     @given(**_series_params)
@@ -159,6 +158,23 @@ class TestSeriesSeedShots:
         assert np.count_nonzero(near) > 3
         assert np.allclose(prof.g[near], g, rtol=1e-9, atol=0.0)
         assert np.allclose(prof.dg[near], dg, rtol=1e-9, atol=0.0)
+
+    def test_config_dense_dx_takes_no_samples(self, monkeypatch):
+        # a shot takes dense samples from its dense_dx argument alone: the
+        # bare shot of slope_fn under a config with dense_dx set samples
+        # nothing and keeps the bits of its slope
+        slope = slope_fn(P201, 12.0)
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(integrate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(shooting, "integrate", recording)
+        cfg = IntegratorConfig(dense_dx=1e-3)
+        assert slope_fn(P201, 12.0, config=cfg).hex() == slope.hex()
+        assert len(results) == 1
+        assert len(results[0].t) - 1 == results[0].n_steps
 
     def test_bare_shot_starts_at_the_seed(self):
         prof, _ = shoot_backward(P201, 12.0, dense_dx=None)
@@ -381,37 +397,9 @@ class TestSearchContract:
             assert abs(gp.slope) < DEFAULT_SLOPE_TOL
 
     def test_evaluations_per_root(self, counted_window):
-        # one slope_fn call per grid point, then ITP and one seed check per
-        # root
+        # one slope_fn call per grid point, then ITP for each root
         found, calls = counted_window
-        assert len(calls) - 33 <= 6 * len(found)
-
-    def test_seed_disagreement_discards_root(self, monkeypatch):
-        # grid and ITP shots take the default series seed (epsilon_rel None);
-        # the one check per root halves it
-        original = shooting.slope_fn
-        calls = []
-
-        def half_seed_moves(params, xi0, epsilon_rel=None, config=None):
-            calls.append((xi0, epsilon_rel))
-            s = original(params, xi0, epsilon_rel, config)
-            return s + 1e-3 if epsilon_rel is not None else s
-
-        monkeypatch.setattr(shooting, "slope_fn", half_seed_moves)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            found = find_good_profiles(P20, 5.5, 7.0, grid_n=4)
-        assert found == []
-        messages = [str(w.message) for w in caught]
-        assert len(messages) == 1, messages
-        assert "discarding root" in messages[0]
-        assert "seed distance" in messages[0]
-        halved = [(x, e) for x, e in calls if e is not None]
-        assert len(halved) == 1
-        xi0, eps_rel = halved[0]
-        seed = interface_series(P20, xi0).seed_distance()
-        assert eps_rel * xi0 == pytest.approx(0.5 * seed, rel=1e-12)
-        assert [e for _, e in calls[:4]] == [None] * 4
+        assert len(calls) - 33 <= 5 * len(found)
 
 
 def _cubic(root, c, d, sign):
