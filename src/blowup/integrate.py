@@ -1,16 +1,31 @@
 """Adaptive explicit integration with event location.
 
-The package's own stepper, Dormand-Prince 8(5,3), scipy's DOP853 tableau and
-step control (Dormand & Prince 1980, J. Comput. Appl. Math. 6; Hairer,
-Norsett & Wanner, Solving ODEs I, II.4 and II.10), run on tuples of Python
-floats: the systems integrated here have two or three components, where
-array arithmetic costs more than it saves.  Both take the same steps: 12
-stages with the last stage rhs(t + h, y_new) reused as the next first one,
-the 5th-order error estimate damped by the 3rd-order one, safety factor 0.9,
-step factor clamped to [0.2, 10] with exponent -1/8, no growth right after
-a rejected step, a minimum step of 10 ulp of t, and Hairer's initial-step
-selection.  Dense output is the method's 7th-order continuous extension,
-which costs three more rhs calls on each step that reads it.
+The package's own stepper, Dormand-Prince 8(5,3) with scipy's DOP853
+tableau (Dormand & Prince 1980, J. Comput. Appl. Math. 6; Hairer, Norsett &
+Wanner, Solving ODEs I, II.4 and II.10), run on tuples of Python floats: the
+systems integrated here have two or three components, where array
+arithmetic costs more than it saves.  12 stages with the last stage
+rhs(t + h, y_new) reused as the next first one, the 5th-order error estimate
+damped by the 3rd-order one, a minimum step of 10 ulp of t, and Hairer's
+initial-step selection, all as in DOP853.
+
+The step size follows Gustafsson's predictive controller (1994, ACM TOMS
+20(4); Hairer & Wanner, Solving ODEs II, IV.8).  After an accepted step n
+with error norm err_n the next step is h_n times
+
+    max(0.2, min(fac_I, fac_P)),
+    fac_I = min(10, 0.9 err_n^(-1/8)),
+    fac_P = 0.9 (h_n / h_(n-1)) (err_(n-1) / err_n^2)^(1/8),
+
+with the stored err_(n-1) floored at 1e-2 as in RADAU5; on the first
+accepted step fac_I alone, and no growth right after a rejected step, which
+shrinks h by max(0.2, 0.9 err^(-1/8)).  fac_I alone (DOP853's rule) reads
+only the current error, so an error that rises steadily from step to step,
+as on an orbit blowing up in finite time or toward the axis where the weight
+|x|^sigma is not smooth, fails on about every other step; fac_P follows the
+trend.  The controller's state lives in one integrate call.  Dense output
+is the method's 7th-order continuous extension, which costs three more rhs
+calls on each step that reads it.
 
 Around the stepper sits the loop the shooting experiments need: (i) event
 bracketing on several dense-output subsamples per accepted step (the
@@ -212,6 +227,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1 / 8          # -1/(error estimator order + 1)
+_MIN_PREV_ERROR = 1e-2            # floor on the stored error, as in RADAU5
 _MIN_REL_TOL = 100 * sys.float_info.epsilon
 
 
@@ -292,7 +308,8 @@ class IntegrationResult:
     y: np.ndarray                     # shape (len(t), dim)
     events: List[EventRecord] = field(default_factory=list)
     reason: str = "completed"         # "completed" | "terminal_event"
-    n_steps: int = 0
+    n_steps: int = 0                  # accepted steps
+    n_rejected: int = 0               # rejected step attempts
 
     @property
     def terminal_event(self) -> Optional[EventRecord]:
@@ -663,7 +680,10 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
     ts: List[float] = [t0]
     ys: List[Sequence[float]] = [y]
     records: List[EventRecord] = []
-    n_steps = 0
+    n_steps = n_rejected = 0
+    # size and error norm (floored) of the last accepted step
+    h_prev: Optional[float] = None
+    err_prev = 0.0
     dense_dx = cfg.dense_dx * direction if cfg.dense_dx else None
     next_dense = t0 + dense_dx if dense_dx is not None else None
     # (at, t_old, h, q, abscissae) of each step's dense samples, evaluated
@@ -674,7 +694,7 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
 
     def result(reason: str) -> IntegrationResult:
         return IntegrationResult(*_with_samples(ts, ys, blocks), records,
-                                 reason, n_steps)
+                                 reason, n_steps, n_rejected)
 
     while direction * (t - t1) < 0.0:
         if n_steps >= MAX_STEPS:
@@ -682,7 +702,7 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
                                    result("aborted"))
         n_steps += 1
 
-        # --- one accepted step under DOP853's step-size control ---
+        # --- one accepted step under the predictive step-size control ---
         min_step = 10.0 * abs(math.nextafter(t, toward) - t)
         if h_abs < min_step:
             h_abs = min_step
@@ -699,15 +719,23 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
             y_new, stages = _dp_step(rhs, t, y, f, h)
             error_norm = _error_norm(h, y, y_new, stages, atol, rtol)
             if error_norm < 1.0:
-                factor = (_MAX_FACTOR if error_norm == 0.0 else
-                          min(_MAX_FACTOR,
-                              _SAFETY * error_norm ** _ERROR_EXPONENT))
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
+            n_rejected += 1
+        factor = (_MAX_FACTOR if error_norm == 0.0 else
+                  min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+        if h_prev is not None and error_norm > 0.0:
+            # Gustafsson's predictive factor: a rising error, as on a
+            # blow-up orbit or toward a non-smooth weight, shrinks the step
+            # before it fails
+            factor = max(_MIN_FACTOR, min(factor, (
+                _SAFETY * (h_abs / h_prev)
+                * (err_prev / error_norm ** 2) ** -_ERROR_EXPONENT)))
+        h_prev, err_prev = h_abs, max(error_norm, _MIN_PREV_ERROR)
+        if rejected:
+            factor = min(1.0, factor)
+        h_abs *= factor
         if not all(map(math.isfinite, y_new)):
             raise NonFiniteState(f"non-finite state at t={t_new}",
                                  result("aborted"))

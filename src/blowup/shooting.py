@@ -47,6 +47,7 @@ __all__ = [
     "ShotOutcome",
     "GoodProfile",
     "SlopeUnreliable",
+    "SeedUnderflow",
     "series_constant",
     "series_exponent",
     "InterfaceSeries",
@@ -130,6 +131,11 @@ ShotOutcome = Union[Interface, VerticalSlope, ReachedOrigin, Diverged, Exhausted
 
 class SlopeUnreliable(RuntimeError):
     pass
+
+
+class SeedUnderflow(SlopeUnreliable, ValueError):
+    """The interface series' seed distance rounds to 0 at xi0: no backward
+    shot can start there."""
 
 
 # --------------------------------------------------------------------------
@@ -561,7 +567,7 @@ def shoot_backward(params: Params, xi0: float,
     seed_distance rounded so that xi0 - eps is a float: the series is the
     exact local solution to rounding up to there, so it carries the shot
     through the interface layer, where on g ~ delta^p the stepper would take
-    about 16 steps per decade of delta.  ValueError is raised when eps
+    about 16 steps per decade of delta.  SeedUnderflow is raised when eps
     rounds to 0.  With dense samples (from dense_dx; config.dense_dx is not
     read) the span from the seed to xi0 - EPS_REL xi0, where dense profiles
     end, is filled with series samples on the dense_dx grid.
@@ -578,7 +584,7 @@ def shoot_backward(params: Params, xi0: float,
     xi_seed = xi0 - series.seed_distance()
     eps = xi0 - xi_seed  # the seed state sits at the float xi_seed exactly
     if not 0.0 < eps < xi0:
-        raise ValueError(f"the seed distance at xi0={xi0} rounds to {eps}")
+        raise SeedUnderflow(f"the seed distance at xi0={xi0} rounds to {eps}")
     g0, dg0 = series.state(eps)
     g_tol, dg_tol = series.state(min(eps, EPS_REL * xi0))
     cfg = config or IntegratorConfig()
@@ -703,9 +709,10 @@ def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
 
     grid = np.linspace(xi0_lo, xi0_hi, grid_n)
     slopes = [_try_slope(params, x, config) for x in grid]
-    n_bad = sum(1 for s in slopes if s is None)
-    if n_bad:
-        warnings.warn(f"{n_bad} unreliable slope evaluation(s) on the grid")
+    dropped = [float(x) for x, s in zip(grid, slopes) if s is None]
+    if dropped:
+        warnings.warn(f"{len(dropped)} unreliable slope evaluation(s) on the "
+                      f"grid, dropped xi0 = {dropped}")
 
     def slope(x: float) -> Optional[float]:
         return _try_slope(params, x, config)

@@ -202,6 +202,14 @@ class TestUsageErrors:
         # m <= 1 is rejected by the library with a usage exit code
         assert run(["bounds", "--m", "1.0", "--sigma", "1"]) == 2
 
+    def test_seed_underflow_is_numerical(self, tmp_path, capsys):
+        # valid parameters at which the seed distance rounds to 0
+        out = tmp_path / "b.csv"
+        assert run(["profile", "--m", "2", "--sigma", "16", "--xi0", "100",
+                    "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--m", "2", "--sigma", "0.1", "--xi0-max", "16",
          "--abs-tol", "1e-3"],

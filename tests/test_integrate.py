@@ -137,6 +137,47 @@ class TestFailures:
             integrate(_decay, [np.nan], (0.0, 1.0))
 
 
+def _square(t, y):
+    return (y[0] * y[0],)  # y(0) = 1: y = 1/(1 - t), blow-up at t = 1
+
+
+class TestStepControl:
+    """The predictive controller follows a steadily rising error estimate,
+    as on an orbit that blows up, instead of failing on every other step."""
+
+    def test_blowup_without_rejections(self):
+        res = integrate(_square, [1.0], (0.0, 1.0 - 1e-6))
+        assert res.n_rejected <= 5, (res.n_steps, res.n_rejected)
+        assert abs(res.y[-1, 0] * 1e-6 - 1.0) < 1e-4
+
+    def test_blowup_stopped_by_state_bound(self):
+        ev = Event(EventKind.STATE_BOUND, lambda t, y: 1e6 - y[0],
+                   direction=-1, terminal=True)
+        res = integrate(_square, [1.0], (0.0, 2.0), events=(ev,))
+        assert res.reason == "terminal_event"
+        assert res.n_rejected <= 5, (res.n_steps, res.n_rejected)
+        assert res.terminal_event.t == pytest.approx(1.0 - 1e-6, abs=1e-10)
+
+    def test_partial_result_counts_rejections(self):
+        # past the pole the step shrinks below 10 ulp only by rejections
+        with pytest.raises(StepUnderflow) as err:
+            integrate(_square, [1.0], (0.0, 2.0))
+        assert 1 <= err.value.partial.n_rejected <= 5
+
+    def test_deterministic(self):
+        from blowup.shooting import interface_series, profile_rhs
+        params, xi0 = Params(2.0, 0.1), 12.0
+        series = interface_series(params, xi0)
+        eps = series.seed_distance()
+        g0, dg0 = series.state(eps)
+        cfg = IntegratorConfig(abs_tol=np.array([1e-8 * g0, 1e-8 * abs(dg0)]))
+        a, b = (integrate(profile_rhs(params), [g0, dg0], (xi0 - eps, 0.0),
+                          config=cfg) for _ in range(2))
+        assert a.t.tobytes() == b.t.tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
+        assert (a.n_steps, a.n_rejected) == (b.n_steps, b.n_rejected)
+
+
 class TestDenseSampling:
     def test_uniform_samples_merged(self):
         cfg = IntegratorConfig(dense_dx=0.01)
@@ -483,37 +524,33 @@ class TestConfigValidation:
 
 
 class TestScipyOracle:
-    """scipy's DOP853 has the tableau and the step control of the owned
-    stepper, so it must take as many accepted steps along the same solution.
+    """scipy's DOP853 has the tableau of the owned stepper but the classic
+    step control, so the two take different steps along the same solution.
 
-    The step ends are compared loosely: a short step's error estimate is
-    mostly rounding, and scipy forms its stage sums with BLAS dot products
-    that round differently, so step sizes can differ in the last digits
-    early on and the ends drift apart by up to about 1e-7 (oscillator).  The
-    states, read at the same t, agree to rounding, at the step ends and at
-    dense samples between them.
+    The owned steps are read against scipy's 7th-order dense output, at the
+    step ends and at dense samples between them: the states agree to well
+    within the tolerances of both.  Single steps from scipy's accepted
+    states land on scipy's next states to rounding, since the tableau is
+    the same.
     """
 
     @staticmethod
     def _scipy_rhs(rhs):
         return lambda t, y: np.asarray(rhs(t, tuple(y)), dtype=float)
 
-    def _assert_same_steps(self, rhs, y0, t_span, cfg):
+    def _assert_same_solution(self, rhs, y0, t_span, cfg):
         from scipy.integrate import solve_ivp
         res = integrate(rhs, y0, t_span, config=cfg)
         ref = solve_ivp(self._scipy_rhs(rhs), t_span,
                         np.asarray(y0, dtype=float), method="DOP853",
                         rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=True)
         assert ref.success
-        assert res.n_steps == len(ref.t) - 1
-        assert np.all(np.abs(res.t - ref.t)
-                      <= 1e-5 * np.maximum(1.0, np.abs(ref.t)))
         # step ends, and the 7th-order dense output between them
         dense = integrate(rhs, y0, t_span, config=replace(cfg, dense_dx=0.01))
         for t, y in ((res.t, res.y), (dense.t, dense.y)):
             y_ref = ref.sol(t).T
             scale = np.max(np.abs(y_ref), axis=1, keepdims=True)
-            assert np.all(np.abs(y - y_ref) <= 1e-10 * scale)
+            assert np.all(np.abs(y - y_ref) <= 1e-9 * scale)
 
     def _assert_same_single_steps(self, rhs, y0, t_span, cfg):
         # each step from scipy's accepted state lands on scipy's next state
@@ -531,7 +568,8 @@ class TestScipyOracle:
 
     def test_harmonic_oscillator(self):
         cfg = IntegratorConfig()
-        self._assert_same_steps(_oscillator, [1.0, 0.0], (0.0, 20.0), cfg)
+        self._assert_same_solution(_oscillator, [1.0, 0.0], (0.0, 20.0),
+                                   cfg)
         self._assert_same_single_steps(_oscillator, [1.0, 0.0], (0.0, 20.0),
                                        cfg)
 
@@ -543,7 +581,7 @@ class TestScipyOracle:
         # the backward shot's tolerances, without its events
         cfg = IntegratorConfig(abs_tol=np.array([1e-8 * g0, 1e-8 * abs(dg0)]))
         rhs = profile_rhs(params)
-        self._assert_same_steps(rhs, [g0, dg0], (xi0 - eps, 0.0), cfg)
+        self._assert_same_solution(rhs, [g0, dg0], (xi0 - eps, 0.0), cfg)
         self._assert_same_single_steps(rhs, [g0, dg0], (xi0 - eps, 0.0), cfg)
 
 

@@ -10,8 +10,8 @@ from blowup.integrate import (EventKind, EventRecord, IntegratorConfig,
                               integrate)
 from blowup.model import Params, explicit_interface_F0, g_field
 from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, SERIES_ORDER,
-                             Exhausted, Interface, ReachedOrigin, VanishKind,
-                             VerticalSlope, _itp_root, _validate_good,
+                             Exhausted, Interface, ReachedOrigin,
+                             SeedUnderflow, VanishKind, VerticalSlope, _itp_root, _validate_good,
                              classify_vanish, count_maxima,
                              find_good_profiles, interface_series,
                              multiplicity_scan, nonexistence_gap,
@@ -55,6 +55,8 @@ class TestSeriesSeed:
                                       100.0).seed_distance() < 1e-17
         with pytest.raises(ValueError):
             shoot_backward(Params(2.0, 16.0), 100.0)
+        with pytest.raises(SeedUnderflow):
+            slope_fn(Params(2.0, 16.0), 100.0)
 
     @settings(max_examples=200, deadline=None)
     @given(**_series_params)
@@ -175,6 +177,20 @@ class TestSeriesSeedShots:
         assert slope_fn(P201, 12.0, config=cfg).hex() == slope.hex()
         assert len(results) == 1
         assert len(results[0].t) - 1 == results[0].n_steps
+
+    def test_bare_shot_rejections(self, monkeypatch):
+        # toward the axis, where the weight xi^sigma is not smooth, the
+        # error estimate rises from step to step
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(integrate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(shooting, "integrate", recording)
+        slope_fn(P201, 12.0)
+        assert len(results) == 1
+        assert results[0].n_rejected <= 20, results[0].n_rejected
 
     def test_bare_shot_starts_at_the_seed(self):
         prof, _ = shoot_backward(P201, 12.0, dense_dx=None)
@@ -525,6 +541,15 @@ class TestMultiplicityScan:
         by_sigma = {r.sigma: r for r in rows}
         assert by_sigma[-1.0].error is not None
         assert by_sigma[0.0].error is None
+
+    def test_seed_underflow_drops_grid_points(self):
+        # at sigma = 16 the seed distance near xi0 = 100 rounds to 0: each
+        # such grid point is an unreliable slope, named in the warning, and
+        # the row is a count, not an error
+        with pytest.warns(UserWarning, match=r"dropped xi0 = \[95\.0, "):
+            rows = multiplicity_scan(2.0, [16.0], 100.0, xi0_lo=95.0,
+                                     grid_dx=2.5)
+        assert rows[0].error is None and rows[0].count == 0
 
     def test_programming_error_propagates(self):
         # only numerical failures and invalid parameters become error rows
