@@ -9,6 +9,15 @@ rhs(t + h, y_new) reused as the next first one, the 5th-order error estimate
 damped by the 3rd-order one, a minimum step of 10 ulp of t, and Hairer's
 initial-step selection, all as in DOP853.
 
+The step, its error norm and the dense-output coefficients are kernels
+generated from the sparse tableau for each state dimension n and compiled
+once per n (_kernels): straight-line code on the n components, each sum of
+stages written out in the tableau's term order.  On states of two or three
+components a list comprehension per sum would cost a function call each,
+more than its arithmetic.  The kernels are registered with linecache as
+"<dop853 dim=n>", so tracebacks and profiles name their lines.  Each
+result counts its rhs calls (n_rhs) from the steps it took.
+
 The step size follows Gustafsson's predictive controller (1994, ACM TOMS
 20(4); Hairer & Wanner, Solving ODEs II, IV.8).  After an accepted step n
 with error norm err_n the next step is h_n times
@@ -54,6 +63,8 @@ result.
 from __future__ import annotations
 
 import enum
+import functools
+import linecache
 import math
 import sys
 from dataclasses import dataclass, field
@@ -222,6 +233,21 @@ _A2_1 = 5.26001519587677318785587544488e-2
     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3)
 _E3_1, _E3_9, _E3_12 = _B1 - _BHH1, _B9 - _BHH9, _B12 - _BHH12
 
+# The sparsity of the tableau, from which the kernels are generated: the
+# stages j of the nonzero A_i_j of each stage i, of the nonzero weights of
+# B, ER and E3 = B - BHH, and of the nonzero entries of the rows D3-D6.
+# Every weighted sum of stages the kernels form adds its terms left to right
+# in this order.
+_A_STAGES = {
+    2: (1,), 3: (1, 2), 4: (1, 3), 5: (1, 3, 4), 6: (1, 4, 5),
+    7: (1, 4, 5, 6), 8: (1, 4, 5, 6, 7), 9: (1, 4, 5, 6, 7, 8),
+    10: (1, 4, 5, 6, 7, 8, 9), 11: (1, 4, 5, 6, 7, 8, 9, 10),
+    12: (1, 4, 5, 6, 7, 8, 9, 10, 11),
+    14: (1, 7, 8, 9, 10, 11, 12, 13), 15: (1, 6, 7, 8, 11, 12, 13, 14),
+    16: (1, 6, 7, 8, 9, 13, 14, 15)}
+_B_STAGES = (1, 6, 7, 8, 9, 10, 11, 12)
+_D_STAGES = (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
+
 # step control
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -310,6 +336,7 @@ class IntegrationResult:
     reason: str = "completed"         # "completed" | "terminal_event"
     n_steps: int = 0                  # accepted steps
     n_rejected: int = 0               # rejected step attempts
+    n_rhs: int = 0                    # rhs evaluations
 
     @property
     def terminal_event(self) -> Optional[EventRecord]:
@@ -347,80 +374,116 @@ def _rms(values: Sequence[float]) -> float:
     return math.sqrt(sum([v * v for v in values])) / len(values) ** 0.5
 
 
-def _dp_step(rhs: Callable, t: float, y: tuple, k1: Sequence[float],
-             h: float) -> Tuple[tuple, tuple]:
-    """One step of size h from (t, y), where k1 = rhs(t, y).
+def _kernel_source(n: int) -> str:
+    """Python source of the three kernels of _kernels(n), straight-line code
+    on the n components of the state and of each stage (y0, k5_1, ...)."""
+    dims = range(n)
 
-    Returns the 8th-order state at t + h and the twelve stages.
+    def tup(items) -> str:
+        items = list(items)
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+    def column(items) -> str:
+        # a tuple display with one item on each line
+        return "(" + "".join(f"\n        {item}," for item in items) + ")"
+
+    def unpack(j: int, source: str) -> str:
+        return f"    {tup(f'k{j}_{d}' for d in dims)} = {source}"
+
+    def wsum(terms, d: int) -> str:
+        # the weighted sum of component d of the stages, left to right
+        return " + ".join(f"{c} * k{j}_{d}" for c, j in terms)
+
+    def stage(i: int) -> List[str]:
+        # stage i from the step start (t, y); C_12 = 1
+        terms = [(f"_A{i}_{j}", j) for j in _A_STAGES[i]]
+        at = "t + h" if i == 12 else f"t + _C{i} * h"
+        state = column(f"y{d} + h * ({wsum(terms, d)})" for d in dims)
+        return [f"    k{i} = rhs({at}, {state})", unpack(i, f"k{i}")]
+
+    b = [(f"_B{j}", j) for j in _B_STAGES]
+    er = [(f"_ER{j}", j) for j in _B_STAGES]
+    # E3_j = B_j where BHH_j is zero
+    e3 = [(f"_E3_{j}" if f"_BHH{j}" in globals() else f"_B{j}", j)
+          for j in _B_STAGES]
+    # the error norm and the dense output read the stages of B
+    named = tup(f"k{i}" if i in _B_STAGES else "_" for i in range(1, 13))
+    read = [f"    {tup(f'y{d}' for d in dims)} = y",
+            f"    {tup(f'v{d}' for d in dims)} = y_new",
+            f"    {named} = stages"]
+    read += [unpack(j, f"k{j}") for j in _B_STAGES]
+
+    lines = ["def dp_step(rhs, t, y, k1, h):",
+             f"    {tup(f'y{d}' for d in dims)} = y",
+             unpack(1, "k1")]
+    for i in range(2, 13):
+        lines += stage(i)
+    y_new = column(f"y{d} + h * ({wsum(b, d)})" for d in dims)
+    lines.append(f"    return {y_new}, {tup(f'k{i}' for i in range(1, 13))}")
+
+    lines += ["", "", "def error_norm(h, y, y_new, stages, atol, rtol):"]
+    lines += read
+    lines.append(f"    {tup(f'tol{d}' for d in dims)} = atol")
+    for d in dims:
+        lines += [f"    a{d}, b{d} = abs(y{d}), abs(v{d})",
+                  f"    s{d} = tol{d} + (a{d} if a{d} > b{d} else b{d})"
+                  " * rtol",
+                  f"    e5_{d} = ({wsum(er, d)}) / s{d}",
+                  f"    e3_{d} = ({wsum(e3, d)}) / s{d}"]
+    # a sum of squares from 0.0 starts exactly at its first square
+    lines += [f"    sq5 = {' + '.join(f'e5_{d} * e5_{d}' for d in dims)}",
+              f"    sq3 = {' + '.join(f'e3_{d} * e3_{d}' for d in dims)}",
+              "    if sq5 == 0.0 and sq3 == 0.0:",
+              "        return 0.0",
+              f"    return abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * {n})"]
+
+    lines += ["", "", "def interpolant(rhs, t, h, y, y_new, stages, k13):"]
+    lines += read
+    lines.append(unpack(13, "k13"))
+    for i in (14, 15, 16):
+        lines += stage(i)
+    coefs = []
+    for d in dims:
+        lines.append(f"    d{d} = v{d} - y{d}")
+        upper = ", ".join(
+            f"h * ({wsum([(f'_D{r}_{j}', j) for j in _D_STAGES], d)})"
+            for r in (3, 4, 5, 6))
+        coefs.append(f"(y{d}, d{d}, h * k1_{d} - d{d}, "
+                     f"2.0 * d{d} - h * (k1_{d} + k13_{d}), {upper})")
+    lines.append(f"    return {column(coefs)}")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _kernels(n: int) -> Tuple[Callable, Callable, Callable]:
+    """The stepper for states of n components: (dp_step, error_norm,
+    interpolant), generated from the sparse tableau and compiled once per n.
+
+    dp_step(rhs, t, y, k1, h) -> (y_new, stages) makes one step of size h
+    from (t, y), where k1 = rhs(t, y): the 8th-order state at t + h and the
+    twelve stages, k1 and the eleven results of rhs.
+    error_norm(h, y, y_new, stages, atol, rtol) is DOP853's error norm: the
+    5th-order estimate e5 damped by the 3rd-order one e3,
+    |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), both scaled by
+    atol + max(|y|, |y_new|) rtol.
+    interpolant(rhs, t_old, h, y_old, y_new, stages, f_new) returns the
+    coefficients of the 7th-order dense output on the step, at the cost of
+    the three extra stages 14-16, with f_new = rhs(t_old + h, y_new) as
+    stage 13: one tuple (y_old, F0, ..., F6) per component, with
+    F0 = y_new - y_old, F1 = h k1 - F0, F2 = 2 F0 - h (k1 + k13) and
+    F3..F6 = h D K.  See _dense_poly for the polynomial.
     """
-    k2 = rhs(t + _C2 * h, tuple([u + h * (_A2_1 * s1)
-                                 for u, s1 in zip(y, k1)]))
-    k3 = rhs(t + _C3 * h, tuple([u + h * (_A3_1 * s1 + _A3_2 * s2)
-                                 for u, s1, s2 in zip(y, k1, k2)]))
-    k4 = rhs(t + _C4 * h, tuple([u + h * (_A4_1 * s1 + _A4_3 * s3)
-                                 for u, s1, s3 in zip(y, k1, k3)]))
-    k5 = rhs(t + _C5 * h, tuple([u + h * (_A5_1 * s1 + _A5_3 * s3 + _A5_4 * s4)
-                                 for u, s1, s3, s4 in zip(y, k1, k3, k4)]))
-    k6 = rhs(t + _C6 * h, tuple([u + h * (_A6_1 * s1 + _A6_4 * s4 + _A6_5 * s5)
-                                 for u, s1, s4, s5 in zip(y, k1, k4, k5)]))
-    k7 = rhs(t + _C7 * h, tuple([u + h * (_A7_1 * s1 + _A7_4 * s4 + _A7_5 * s5
-                                          + _A7_6 * s6)
-                                 for u, s1, s4, s5, s6
-                                 in zip(y, k1, k4, k5, k6)]))
-    k8 = rhs(t + _C8 * h, tuple([u + h * (_A8_1 * s1 + _A8_4 * s4 + _A8_5 * s5
-                                          + _A8_6 * s6 + _A8_7 * s7)
-                                 for u, s1, s4, s5, s6, s7
-                                 in zip(y, k1, k4, k5, k6, k7)]))
-    k9 = rhs(t + _C9 * h, tuple([u + h * (_A9_1 * s1 + _A9_4 * s4 + _A9_5 * s5
-                                          + _A9_6 * s6 + _A9_7 * s7
-                                          + _A9_8 * s8)
-                                 for u, s1, s4, s5, s6, s7, s8
-                                 in zip(y, k1, k4, k5, k6, k7, k8)]))
-    k10 = rhs(t + _C10 * h, tuple([u + h * (_A10_1 * s1 + _A10_4 * s4
-                                            + _A10_5 * s5 + _A10_6 * s6
-                                            + _A10_7 * s7 + _A10_8 * s8
-                                            + _A10_9 * s9)
-                                   for u, s1, s4, s5, s6, s7, s8, s9
-                                   in zip(y, k1, k4, k5, k6, k7, k8, k9)]))
-    k11 = rhs(t + _C11 * h, tuple([u + h * (_A11_1 * s1 + _A11_4 * s4
-                                            + _A11_5 * s5 + _A11_6 * s6
-                                            + _A11_7 * s7 + _A11_8 * s8
-                                            + _A11_9 * s9 + _A11_10 * s10)
-                                   for u, s1, s4, s5, s6, s7, s8, s9, s10
-                                   in zip(y, k1, k4, k5, k6, k7, k8, k9,
-                                          k10)]))
-    k12 = rhs(t + h, tuple([u + h * (_A12_1 * s1 + _A12_4 * s4 + _A12_5 * s5
-                                     + _A12_6 * s6 + _A12_7 * s7 + _A12_8 * s8
-                                     + _A12_9 * s9 + _A12_10 * s10
-                                     + _A12_11 * s11)
-                            for u, s1, s4, s5, s6, s7, s8, s9, s10, s11
-                            in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)]))
-    y_new = tuple([u + h * (_B1 * s1 + _B6 * s6 + _B7 * s7 + _B8 * s8
-                            + _B9 * s9 + _B10 * s10 + _B11 * s11 + _B12 * s12)
-                   for u, s1, s6, s7, s8, s9, s10, s11, s12
-                   in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)])
-    return y_new, (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12)
-
-
-def _error_norm(h: float, y: tuple, y_new: tuple, stages: tuple,
-                atol: Sequence[float], rtol: float) -> float:
-    """DOP853's error norm: the 5th-order estimate e5 damped by the
-    3rd-order one e3, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), both
-    scaled by atol + max(|y|, |y_new|) rtol."""
-    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12 = stages
-    sq5 = sq3 = 0.0
-    for u, v, tol, s1, s6, s7, s8, s9, s10, s11, s12 in zip(
-            y, y_new, atol, k1, k6, k7, k8, k9, k10, k11, k12):
-        scale = tol + (abs(u) if abs(u) > abs(v) else abs(v)) * rtol
-        e5 = (_ER1 * s1 + _ER6 * s6 + _ER7 * s7 + _ER8 * s8 + _ER9 * s9
-              + _ER10 * s10 + _ER11 * s11 + _ER12 * s12) / scale
-        e3 = (_E3_1 * s1 + _B6 * s6 + _B7 * s7 + _B8 * s8 + _E3_9 * s9
-              + _B10 * s10 + _B11 * s11 + _E3_12 * s12) / scale
-        sq5 += e5 * e5
-        sq3 += e3 * e3
-    if sq5 == 0.0 and sq3 == 0.0:
-        return 0.0
-    return abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
+    if n < 1:
+        raise ValueError("the state must have at least one component")
+    source = _kernel_source(n)
+    filename = f"<dop853 dim={n}>"
+    # tracebacks and profiles read the kernels' lines here; an entry without
+    # a modification time survives linecache.checkcache
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    kernels: dict = {}
+    exec(compile(source, filename, "exec"), globals(), kernels)
+    return kernels["dp_step"], kernels["error_norm"], kernels["interpolant"]
 
 
 def _initial_step(rhs: Callable, t0: float, y0: tuple, f0: Sequence[float],
@@ -441,54 +504,6 @@ def _initial_step(rhs: Callable, t0: float, y0: tuple, f0: Sequence[float],
     else:
         h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     return min(100 * h0, h1, interval)
-
-
-def _interpolant(rhs: Callable, t_old: float, h: float, y_old: tuple,
-                 y_new: tuple, stages: tuple, f_new: Sequence[float]
-                 ) -> List[tuple]:
-    """Coefficients of the 7th-order dense output on the step
-    [t_old, t_old + h], at the cost of the three extra stages 14-16: one
-    tuple (y_old, F0, ..., F6) per component, with F0 = y_new - y_old,
-    F1 = h k1 - F0, F2 = 2 F0 - h (k1 + k13) and F3..F6 = h D K.  See
-    _dense_poly for the polynomial.
-    """
-    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12 = stages
-    k13 = f_new
-    k14 = rhs(t_old + _C14 * h, tuple([
-        u + h * (_A14_1 * s1 + _A14_7 * s7 + _A14_8 * s8 + _A14_9 * s9
-                 + _A14_10 * s10 + _A14_11 * s11 + _A14_12 * s12
-                 + _A14_13 * s13)
-        for u, s1, s7, s8, s9, s10, s11, s12, s13
-        in zip(y_old, k1, k7, k8, k9, k10, k11, k12, k13)]))
-    k15 = rhs(t_old + _C15 * h, tuple([
-        u + h * (_A15_1 * s1 + _A15_6 * s6 + _A15_7 * s7 + _A15_8 * s8
-                 + _A15_11 * s11 + _A15_12 * s12 + _A15_13 * s13
-                 + _A15_14 * s14)
-        for u, s1, s6, s7, s8, s11, s12, s13, s14
-        in zip(y_old, k1, k6, k7, k8, k11, k12, k13, k14)]))
-    k16 = rhs(t_old + _C16 * h, tuple([
-        u + h * (_A16_1 * s1 + _A16_6 * s6 + _A16_7 * s7 + _A16_8 * s8
-                 + _A16_9 * s9 + _A16_13 * s13 + _A16_14 * s14
-                 + _A16_15 * s15)
-        for u, s1, s6, s7, s8, s9, s13, s14, s15
-        in zip(y_old, k1, k6, k7, k8, k9, k13, k14, k15)]))
-    q = [(u, v - u, h * s1 - (v - u), 2.0 * (v - u) - h * (s1 + s13),
-          h * (_D3_1 * s1 + _D3_6 * s6 + _D3_7 * s7 + _D3_8 * s8 + _D3_9 * s9
-               + _D3_10 * s10 + _D3_11 * s11 + _D3_12 * s12 + _D3_13 * s13
-               + _D3_14 * s14 + _D3_15 * s15 + _D3_16 * s16),
-          h * (_D4_1 * s1 + _D4_6 * s6 + _D4_7 * s7 + _D4_8 * s8 + _D4_9 * s9
-               + _D4_10 * s10 + _D4_11 * s11 + _D4_12 * s12 + _D4_13 * s13
-               + _D4_14 * s14 + _D4_15 * s15 + _D4_16 * s16),
-          h * (_D5_1 * s1 + _D5_6 * s6 + _D5_7 * s7 + _D5_8 * s8 + _D5_9 * s9
-               + _D5_10 * s10 + _D5_11 * s11 + _D5_12 * s12 + _D5_13 * s13
-               + _D5_14 * s14 + _D5_15 * s15 + _D5_16 * s16),
-          h * (_D6_1 * s1 + _D6_6 * s6 + _D6_7 * s7 + _D6_8 * s8 + _D6_9 * s9
-               + _D6_10 * s10 + _D6_11 * s11 + _D6_12 * s12 + _D6_13 * s13
-               + _D6_14 * s14 + _D6_15 * s15 + _D6_16 * s16))
-         for u, v, s1, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15, s16
-         in zip(y_old, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14,
-                k15, k16)]
-    return q
 
 
 def _dense_poly(x, q):
@@ -532,7 +547,7 @@ def _dense_box(c: tuple) -> Tuple[float, float]:
             u + (f0 if f0 > 0.0 else 0.0) + b)
 
 
-def _dense_states(q: List[tuple], t_old: float, h: float,
+def _dense_states(q: Sequence[tuple], t_old: float, h: float,
                   ts: Sequence[float]) -> List[tuple]:
     """States on the step's interpolant at the points ts, as tuples."""
     xs = [(t - t_old) / h for t in ts]
@@ -619,7 +634,7 @@ def _crossing_ok(ev: Event, fa: float, fb: float) -> bool:
     return True
 
 
-def _bisect_event(fn: Callable, q: List[tuple], t_old: float, h: float,
+def _bisect_event(fn: Callable, q: Sequence[tuple], t_old: float, h: float,
                   ta: float, tb: float, fa: float) -> Tuple[float, tuple]:
     # fa has the sign to keep on the left; stop on |f| < EVENT_TOL.  The
     # points are read on the step's interpolant q from t_old over h.
@@ -662,6 +677,7 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
     y = tuple(np.asarray(y0, dtype=float).ravel().tolist())
     if not all(map(math.isfinite, y)):
         raise NonFiniteState("non-finite initial state")
+    dp_step, error_norm_of, interpolant = _kernels(len(y))
     atol = np.broadcast_to(np.asarray(cfg.abs_tol, dtype=float),
                            (len(y),)).tolist()
     rtol = max(cfg.rel_tol, _MIN_REL_TOL)
@@ -669,8 +685,10 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
     toward = direction * math.inf
 
     f = rhs(t0, y)
+    n_rhs = 1
     if cfg.first_step is None:
         h_abs = _initial_step(rhs, t0, y, f, t1, direction, rtol, atol)
+        n_rhs += 1
     elif 0.0 < cfg.first_step <= abs(t1 - t0):
         h_abs = float(cfg.first_step)
     else:
@@ -694,7 +712,7 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
 
     def result(reason: str) -> IntegrationResult:
         return IntegrationResult(*_with_samples(ts, ys, blocks), records,
-                                 reason, n_steps, n_rejected)
+                                 reason, n_steps, n_rejected, n_rhs)
 
     while direction * (t - t1) < 0.0:
         if n_steps >= MAX_STEPS:
@@ -716,8 +734,9 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
-            y_new, stages = _dp_step(rhs, t, y, f, h)
-            error_norm = _error_norm(h, y, y_new, stages, atol, rtol)
+            y_new, stages = dp_step(rhs, t, y, f, h)
+            n_rhs += 11
+            error_norm = error_norm_of(h, y, y_new, stages, atol, rtol)
             if error_norm < 1.0:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
@@ -742,8 +761,10 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
 
         t_old, y_old = t, y
         t, y, f = t_new, y_new, rhs(t_new, y_new)
+        n_rhs += 1
         if events or next_dense is not None:
-            q = _interpolant(rhs, t_old, h, y_old, y_new, stages, f)
+            q = interpolant(rhs, t_old, h, y_old, y_new, stages, f)
+            n_rhs += 3
 
         # --- event detection: certificates on the interpolant's range
         # bounds first, subsampled dense output for the events they leave ---

@@ -1,4 +1,6 @@
 import importlib
+import math
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +39,10 @@ class TestBasicIntegration:
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError):
             integrate(_decay, [1.0], (1.0, 1.0))
+
+    def test_empty_state_rejected(self):
+        with pytest.raises(ValueError):
+            integrate(_decay, [], (0.0, 1.0))
 
     def test_reverse_consistency(self):
         # out and back across a smooth span returns the initial state
@@ -214,14 +220,15 @@ class TestBatchedDenseSamples:
     @staticmethod
     def _interpolant(rhs, steps, k):
         # the coefficients of accepted step k, recomputed from its start
-        from blowup.integrate import _dp_step, _interpolant
+        from blowup.integrate import _kernels
         t_old, t_new = float(steps.t[k]), float(steps.t[k + 1])
         y_old = tuple(steps.y[k].tolist())
         h = t_new - t_old
-        y_new, stages = _dp_step(rhs, t_old, y_old, rhs(t_old, y_old), h)
+        dp_step, _, interpolant = _kernels(len(y_old))
+        y_new, stages = dp_step(rhs, t_old, y_old, rhs(t_old, y_old), h)
         assert list(y_new) == steps.y[k + 1].tolist()
-        return t_old, h, _interpolant(rhs, t_old, h, y_old, y_new, stages,
-                                      rhs(t_new, y_new))
+        return t_old, h, interpolant(rhs, t_old, h, y_old, y_new, stages,
+                                     rhs(t_new, y_new))
 
     def _check(self, rhs, y0, t_span, cfg, events=()):
         from blowup.integrate import _dense_states
@@ -508,6 +515,198 @@ class TestEventScreen:
         assert res[0].terminal_event.kind is EventKind.HYP_PHI_MAX_CROSS
 
 
+# the plain-loop stepper: the reference for the generated kernels, written
+# from the sparse tableau with every sum of stages added left to right in
+# its term order
+
+def _weight(name):
+    return getattr(INTEGRATE, name)
+
+
+def _stage_sum(weights, stages, k, d):
+    # sum of weights[j] k_j[d] over the stages in order
+    total = None
+    for w, j in zip(weights, stages):
+        term = w * k[j][d]
+        total = term if total is None else total + term
+    return total
+
+
+def _ref_stage(rhs, i, t, h, y, k):
+    # stage i from (t, y); C_12 = 1, and 1.0 * h is h
+    stages = INTEGRATE._A_STAGES[i]
+    a = [_weight(f"_A{i}_{j}") for j in stages]
+    c = 1.0 if i == 12 else _weight(f"_C{i}")
+    return rhs(t + c * h, tuple(y[d] + h * _stage_sum(a, stages, k, d)
+                                for d in range(len(y))))
+
+
+def _ref_step(rhs, t, y, k1, h):
+    k = {1: k1}
+    for i in range(2, 13):
+        k[i] = _ref_stage(rhs, i, t, h, y, k)
+    stages = INTEGRATE._B_STAGES
+    b = [_weight(f"_B{j}") for j in stages]
+    y_new = tuple(y[d] + h * _stage_sum(b, stages, k, d)
+                  for d in range(len(y)))
+    return y_new, tuple(k[i] for i in range(1, 13))
+
+
+def _ref_error_norm(h, y, y_new, stages, atol, rtol):
+    k = dict(enumerate(stages, 1))
+    cols = INTEGRATE._B_STAGES
+    er = [_weight(f"_ER{j}") for j in cols]
+    # the 3rd-order weights B - BHH, BHH zero where it has no constant
+    e3 = [_weight(f"_B{j}") - getattr(INTEGRATE, f"_BHH{j}")
+          if hasattr(INTEGRATE, f"_BHH{j}") else _weight(f"_B{j}")
+          for j in cols]
+    sq5 = sq3 = 0.0
+    for d in range(len(y)):
+        u, v = abs(y[d]), abs(y_new[d])
+        scale = atol[d] + (u if u > v else v) * rtol
+        e5 = _stage_sum(er, cols, k, d) / scale
+        e3d = _stage_sum(e3, cols, k, d) / scale
+        sq5 += e5 * e5
+        sq3 += e3d * e3d
+    if sq5 == 0.0 and sq3 == 0.0:
+        return 0.0
+    return abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
+
+
+def _ref_interpolant(rhs, t_old, h, y_old, y_new, stages, f_new):
+    k = dict(enumerate(stages, 1))
+    k[13] = f_new
+    for i in (14, 15, 16):
+        k[i] = _ref_stage(rhs, i, t_old, h, y_old, k)
+    cols = INTEGRATE._D_STAGES
+    q = []
+    for d in range(len(y_old)):
+        f0 = y_new[d] - y_old[d]
+        upper = [h * _stage_sum([_weight(f"_D{r}_{j}") for j in cols], cols,
+                                k, d)
+                 for r in (3, 4, 5, 6)]
+        q.append((y_old[d], f0, h * k[1][d] - f0,
+                  2.0 * f0 - h * (k[1][d] + k[13][d]), *upper))
+    return q
+
+
+def _nonlinear(t, y):
+    n = len(y)
+    return tuple(math.sin(t * u) + 0.5 * math.cos(u * y[(d + 1) % n])
+                 + 0.1 * u * u for d, u in enumerate(y))
+
+
+def _bits(x):
+    """The float bits of a nested sequence of floats, as hex strings."""
+    if isinstance(x, float):
+        return x.hex()
+    return [_bits(v) for v in x]
+
+
+class TestKernels:
+    """The generated straight-line kernels make the same float operations
+    in the same order as the plain loops over the sparse tableau."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.floats(-50.0, 50.0),
+           st.floats(-2.0, 2.0).filter(lambda h: h != 0.0),
+           st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+           st.lists(st.floats(1e-14, 1e-2), min_size=3, max_size=3),
+           st.floats(1e-13, 1e-3))
+    def test_bit_identical_to_the_plain_loops(self, n, t, h, y, atol, rtol):
+        from blowup.integrate import _kernels
+        y, atol = tuple(y[:n]), atol[:n]
+        dp_step, error_norm, interpolant = _kernels(n)
+        k1 = _nonlinear(t, y)
+        y_new, stages = dp_step(_nonlinear, t, y, k1, h)
+        ref_y_new, ref_stages = _ref_step(_nonlinear, t, y, k1, h)
+        assert _bits(y_new) == _bits(ref_y_new)
+        assert len(stages) == 12
+        assert _bits(stages) == _bits(ref_stages)
+        assert (_bits(error_norm(h, y, y_new, stages, atol, rtol))
+                == _bits(_ref_error_norm(h, y, y_new, stages, atol, rtol)))
+        f_new = _nonlinear(t + h, y_new)
+        assert (_bits(interpolant(_nonlinear, t, h, y, y_new, stages, f_new))
+                == _bits(_ref_interpolant(_nonlinear, t, h, y, y_new, stages,
+                                          f_new)))
+
+    def test_traceback_shows_the_generated_line(self):
+        # calls 1-4: rhs(t0, y0), the initial step, stages 2 and 3
+        calls = [0]
+
+        def failing(t, y):
+            calls[0] += 1
+            if calls[0] == 5:
+                raise ZeroDivisionError("the fifth call")
+            return _oscillator(t, y)
+
+        with pytest.raises(ZeroDivisionError):
+            try:
+                integrate(failing, [1.0, 0.0], (0.0, 1.0))
+            except ZeroDivisionError:
+                text = traceback.format_exc()
+                raise
+        assert 'File "<dop853 dim=2>"' in text, text
+        assert "k4 = rhs(t + _C4 * h, (" in text, text
+
+
+class TestRhsCount:
+    """IntegrationResult.n_rhs, counted by arithmetic, is the number of
+    calls a counting rhs sees."""
+
+    @staticmethod
+    def _counting(rhs):
+        calls = [0]
+
+        def counted(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+
+        return counted, calls
+
+    def _shots(self, monkeypatch, run):
+        # (result, rhs calls) of each integrate call run() makes in shooting
+        seen = []
+
+        def recording(rhs, y0, t_span, events=(), config=None):
+            counted, calls = self._counting(rhs)
+            res = integrate(counted, y0, t_span, events=events, config=config)
+            seen.append((res, calls[0]))
+            return res
+
+        monkeypatch.setattr(shooting, "integrate", recording)
+        run()
+        return seen
+
+    def test_bare_backward_shot_with_rejections(self, monkeypatch):
+        [(res, calls)] = self._shots(monkeypatch, lambda: (
+            shooting.slope_fn(Params(2.0, 0.1), 12.0)))
+        assert res.n_rejected > 0
+        assert res.n_rhs == calls
+
+    def test_dense_shot_with_events(self, monkeypatch):
+        seen = self._shots(monkeypatch, lambda: (
+            shooting.shoot_backward(Params(2.0, 0.1), 40.0)))
+        assert seen and len(seen[0][0].events) > 0
+        assert len(seen[0][0].t) > seen[0][0].n_steps + 1  # dense samples
+        for res, calls in seen:
+            assert res.n_rhs == calls
+
+    @pytest.mark.parametrize("first_step", [None, 1e-3])
+    def test_square_to_the_pole(self, first_step):
+        counted, calls = self._counting(_square)
+        cfg = IntegratorConfig(first_step=first_step)
+        res = integrate(counted, [1.0], (0.0, 1.0 - 1e-6), config=cfg)
+        assert res.n_rhs == calls[0]
+
+    def test_partial_result(self):
+        counted, calls = self._counting(_square)
+        with pytest.raises(StepUnderflow) as err:
+            integrate(counted, [1.0], (0.0, 2.0))
+        assert err.value.partial.n_rejected > 0
+        assert err.value.partial.n_rhs == calls[0]
+
+
 class TestConfigValidation:
     def test_bad_tolerances(self):
         with pytest.raises(ValueError):
@@ -555,14 +754,15 @@ class TestScipyOracle:
     def _assert_same_single_steps(self, rhs, y0, t_span, cfg):
         # each step from scipy's accepted state lands on scipy's next state
         from scipy.integrate import DOP853
-        from blowup.integrate import _dp_step
+        from blowup.integrate import _kernels
+        dp_step = _kernels(len(y0))[0]
         solver = DOP853(self._scipy_rhs(rhs), t_span[0],
                         np.asarray(y0, dtype=float), t_span[1],
                         rtol=cfg.rel_tol, atol=cfg.abs_tol)
         while solver.status == "running":
             t, y, f = solver.t, tuple(solver.y.tolist()), tuple(solver.f.tolist())
             solver.step()
-            y_new, _ = _dp_step(rhs, t, y, f, solver.t - t)
+            y_new, _ = dp_step(rhs, t, y, f, solver.t - t)
             assert np.max(np.abs(np.subtract(y_new, solver.y))) \
                 <= 1e-13 * np.max(np.abs(solver.y))
 
