@@ -103,9 +103,9 @@ def _check_4_nonexistence_gap(seed: int) -> Tuple[bool, str]:
                and abs(gb.xi_minus - 12.0 ** (1.0 / 6.0)) < 1e-12
                and gb.gap)
 
-    # sign-only scan: single shots at a relaxed tolerance (slopes are
+    # sign-only scan: single shots at the search tolerance (slopes are
     # O(1e-2..0.4) here, far above the integration noise this admits)
-    cfg = IntegratorConfig(rel_tol=1e-6)
+    cfg = IntegratorConfig(rel_tol=shooting.SEARCH_REL_TOL)
     xs = np.linspace(0.1, 20.0, 201)
     n_pos = 0
     n_bad = 0

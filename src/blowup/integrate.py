@@ -718,7 +718,6 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
         if n_steps >= MAX_STEPS:
             raise MaxStepsExceeded(f"exceeded {MAX_STEPS} steps",
                                    result("aborted"))
-        n_steps += 1
 
         # --- one accepted step under the predictive step-size control ---
         min_step = 10.0 * abs(math.nextafter(t, toward) - t)
@@ -758,6 +757,7 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
         if not all(map(math.isfinite, y_new)):
             raise NonFiniteState(f"non-finite state at t={t_new}",
                                  result("aborted"))
+        n_steps += 1
 
         t_old, y_old = t, y
         t, y, f = t_new, y_new, rhs(t_new, y_new)

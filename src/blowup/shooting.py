@@ -20,7 +20,10 @@ _project_interface).
 Good profiles (f'(0) = 0) are located as roots in xi0 of the slope of the
 backward shot at the axis, bracketed on a grid and refined by the ITP method;
 for each fixed xi0 the profile with interface there is unique, so the slope
-is a well-defined function of xi0.
+is a well-defined function of xi0.  The search reads only signs and a stop
+test, so its shots run at a looser relative tolerance (at most
+SEARCH_REL_TOL); each root it returns is then validated by one shot at the
+caller's tolerance, which supplies every reported number.
 """
 
 from __future__ import annotations
@@ -94,6 +97,9 @@ FLOOR_SLACK = 1e-12
 
 DEFAULT_XI_MAX = 1e3
 DEFAULT_SLOPE_TOL = 1e-6
+#: the loosest relative tolerance a sign decision on a slope uses: the grid
+#: and ITP shots of find_good_profiles run at it or tighter
+SEARCH_REL_TOL = 1e-6
 #: |f'(0)| below this counts as a flat axis start when classifying extrema;
 #: it must not be tighter than the loosest slope_tol a search uses, or a
 #: sigma = 0 root whose search stopped at f'(0) < 0 loses its maximum
@@ -694,52 +700,98 @@ def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
                        ) -> List[GoodProfile]:
     """Roots of slope_fn in every sign change on a uniform xi0 grid.
 
-    Each bracketing grid cell is refined by ITP (_itp_root) until
-    |f'(0)| < slope_tol, one bare backward shot per evaluation.  Every root
-    is then validated by _validate_good on one dense shot: it must reach
-    the axis with |f'(0)| < slope_tol and have a maximum, none of them below
-    the equilibrium hyperbola.  Unreliable slope evaluations are dropped and
-    failed roots discarded, each with a warning; roots closer than 1e-6 are
-    deduplicated keeping the lower xi0.
+    Each bracketing grid cell is refined by ITP (_itp_root), one bare
+    backward shot per evaluation.  Every root is then validated by
+    _validate_good on one dense shot at config, which sets the tolerance of
+    the validated root: it must reach the axis with |f'(0)| < slope_tol and
+    have a maximum, none of them below the equilibrium hyperbola.
+
+    The grid and ITP shots run at the search tolerance
+    L = max(config.rel_tol, min(SEARCH_REL_TOL, slope_tol / 100)), whose
+    slope error was at most 6.3 L (1 + |f'(0)|) where it was measured (near
+    xi0 = 74 at sigma = 0.1; below 1 L on smaller xi0).  When L is looser
+    than config, ITP stops at |f'(0)| < slope_tol - 10 L, and config decides
+    what L cannot: a grid slope within 10 L (1 + |f'(0)|) of zero or
+    unreliable at L, an ITP evaluation unreliable at L, and the cell of a
+    root that fails validation (as when the shot at config misses the axis
+    or slope_tol), which is searched again.  Unreliable slope evaluations
+    are dropped and failed roots discarded, each with a warning; roots
+    closer than 1e-6 are deduplicated keeping the lower xi0.
     """
     if not 0.0 < xi0_lo < xi0_hi:
         raise ValueError("need 0 < xi0_lo < xi0_hi")
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
 
+    tight = config or IntegratorConfig()
+    search_tol = max(tight.rel_tol, min(SEARCH_REL_TOL, slope_tol / 100.0))
+    margin = 10.0 * search_tol if search_tol > tight.rel_tol else 0.0
+    loose = replace(tight, rel_tol=search_tol) if margin else config
+
+    def slope(x: float) -> Optional[float]:
+        s = _try_slope(params, x, loose)
+        if s is None and margin:
+            s = _try_slope(params, x, config)
+        return s
+
+    def grid_slope(x: float) -> Optional[float]:
+        s = _try_slope(params, x, loose)
+        if margin and (s is None or abs(s) <= margin * (1.0 + abs(s))):
+            s = _try_slope(params, x, config)
+        return s
+
     grid = np.linspace(xi0_lo, xi0_hi, grid_n)
-    slopes = [_try_slope(params, x, config) for x in grid]
+    slopes = [grid_slope(float(x)) for x in grid]
     dropped = [float(x) for x, s in zip(grid, slopes) if s is None]
     if dropped:
         warnings.warn(f"{len(dropped)} unreliable slope evaluation(s) on the "
                       f"grid, dropped xi0 = {dropped}")
 
-    def slope(x: float) -> Optional[float]:
-        return _try_slope(params, x, config)
-
-    roots: List[float] = []
+    roots: List[Tuple[float, float, float]] = []
     for x_lo, x_hi, s_lo, s_hi in zip(grid[:-1], grid[1:], slopes[:-1],
                                       slopes[1:]):
         if s_lo is None or s_hi is None or s_lo * s_hi >= 0.0:
             continue
         root = _itp_root(slope, float(x_lo), float(x_hi), s_lo, s_hi,
-                         slope_tol, max_depth)
+                         slope_tol - margin, max_depth)
         if root is not None:
-            roots.append(root)
+            roots.append((root, float(x_lo), float(x_hi)))
 
     roots.sort()
-    deduped: List[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-6:
-            deduped.append(r)
+    deduped: List[Tuple[float, float, float]] = []
+    for cell in roots:
+        if not deduped or cell[0] - deduped[-1][0] > 1e-6:
+            deduped.append(cell)
 
     out: List[GoodProfile] = []
-    for r in deduped:
+    for r, x_lo, x_hi in deduped:
         try:
-            out.append(_validate_good(params, r, slope_tol, config))
+            try:
+                out.append(_validate_good(params, r, slope_tol, config))
+            except (SlopeUnreliable, IntegrationError):
+                if not margin:
+                    raise
+                # L may have misplaced the root: search its cell at config
+                r = _cell_root(params, x_lo, x_hi, slope_tol, max_depth,
+                               config)
+                if r is not None:
+                    out.append(_validate_good(params, r, slope_tol, config))
         except (SlopeUnreliable, IntegrationError) as err:
             warnings.warn(f"discarding root at xi0={r}: {err}")
     return out
+
+
+def _cell_root(params: Params, x_lo: float, x_hi: float, slope_tol: float,
+               max_depth: int, config: Optional[IntegratorConfig]
+               ) -> Optional[float]:
+    """The ITP root of the grid cell [x_lo, x_hi] with every shot at config,
+    or None when the slopes at its ends do not change sign there."""
+    s_lo = _try_slope(params, x_lo, config)
+    s_hi = _try_slope(params, x_hi, config)
+    if s_lo is None or s_hi is None or s_lo * s_hi >= 0.0:
+        return None
+    return _itp_root(lambda x: _try_slope(params, x, config), x_lo, x_hi,
+                     s_lo, s_hi, slope_tol, max_depth)
 
 
 def _try_slope(params: Params, xi0: float,

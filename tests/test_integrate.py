@@ -170,6 +170,20 @@ class TestStepControl:
             integrate(_square, [1.0], (0.0, 2.0))
         assert 1 <= err.value.partial.n_rejected <= 5
 
+    def test_partial_result_counts_accepted_steps(self):
+        # the step in progress when the step size underflows is not counted
+        with pytest.raises(StepUnderflow) as err:
+            integrate(_square, [1.0], (0.0, 2.0))
+        part = err.value.partial
+        assert part.n_steps == len(part.t) - 1 == 270
+
+    def test_failure_on_the_first_step(self):
+        # the pole at t = 1 + 1e-20 lies within one ulp of t = 1
+        with pytest.raises(StepUnderflow) as err:
+            integrate(_square, [1e20], (1.0, 2.0))
+        assert err.value.partial.n_steps == 0
+        assert len(err.value.partial.t) == 1
+
     def test_deterministic(self):
         from blowup.shooting import interface_series, profile_rhs
         params, xi0 = Params(2.0, 0.1), 12.0

@@ -418,6 +418,88 @@ class TestSearchContract:
         assert len(calls) - 33 <= 5 * len(found)
 
 
+def _search_tol(slope_tol):
+    # find_good_profiles' search tolerance at the default config
+    return max(IntegratorConfig().rel_tol,
+               min(shooting.SEARCH_REL_TOL, slope_tol / 100.0))
+
+
+class TestSearchTolerance:
+    """Grid and ITP shots run at a looser tolerance than the caller's; the
+    margin 10 L must cover their slope error, and the caller's config must
+    decide every root they misplace."""
+
+    # (sigma, xi0 window, slope_tol, spacing): the windows of the search
+    # benchmark (each seed's placement) and of acceptance checks 2 and 3
+    @pytest.mark.parametrize("sigma, lo, hi, slope_tol, dx", [
+        (0.1, 7.5, 17.5, 1e-4, 0.25),
+        (0.0, 5.0, 7.5, DEFAULT_SLOPE_TOL, 0.125),
+        (4.0, 0.45, 8.05, DEFAULT_SLOPE_TOL, 0.2),
+        (0.1, 8.0, 16.0, DEFAULT_SLOPE_TOL, 0.25),
+        (0.1, 0.05, 80.0, 1e-4, 0.4996875),
+    ])
+    def test_loose_slope_error(self, sigma, lo, hi, slope_tol, dx):
+        params = Params(2.0, sigma)
+        L = _search_tol(slope_tol)
+        loose = IntegratorConfig(rel_tol=L)
+        for x in np.arange(lo, hi + 1e-9, dx):
+            s = slope_fn(params, float(x))
+            s_loose = slope_fn(params, float(x), config=loose)
+            err = abs(s_loose - s) / (1.0 + abs(s))
+            # the error grows with xi0 at sigma = 0.1: 6.2 L near xi0 = 74
+            bound = 10.0 * L / (3.0 if x <= 60.0 else 1.0)
+            assert err < bound, (x, err / L)
+
+    def test_biased_loose_slopes_fall_back(self, monkeypatch):
+        # loose slopes 2 slope_tol off put every loose root where the
+        # validating shot fails: each cell is searched again at the caller's
+        # tolerance, which must give that search's roots exactly
+        slope_tol = 1e-4
+        original = shooting.slope_fn
+        tols = []
+
+        def biased(params, xi0, config=None):
+            s = original(params, xi0, config=config)
+            tols.append(config.rel_tol if config else None)
+            return s + 2.0 * slope_tol if config else s
+
+        monkeypatch.setattr(shooting, "slope_fn", biased)
+        found = find_good_profiles(P201, 8.5, 16.5, grid_n=9,
+                                   slope_tol=slope_tol)
+        assert _search_tol(slope_tol) in tols and None in tols
+        monkeypatch.setattr(shooting, "SEARCH_REL_TOL",
+                            IntegratorConfig().rel_tol)
+        want = find_good_profiles(P201, 8.5, 16.5, grid_n=9,
+                                  slope_tol=slope_tol)
+        assert [gp.xi0 for gp in found] == [gp.xi0 for gp in want]
+        assert [gp.n_max for gp in found] == [gp.n_max for gp in want]
+        assert [gp.n_max for gp in want] == [1, 2]
+
+    def test_sigma0_past_4pi(self):
+        # loose shots reach the axis beyond 4 pi, where those at the
+        # caller's tolerance stop on the g-floor; no root is invented there
+        rows = multiplicity_scan(2.0, [0.0], 20.0, grid_dx=0.5,
+                                 slope_tol=1e-4)
+        assert rows[0].count == 1
+        assert rows[0].xi0s[0] == pytest.approx(2.0 * np.pi, abs=1e-3)
+
+    def test_caller_tolerance_at_search_tolerance(self, monkeypatch):
+        # config at or above the search tolerance: no margin, every shot at
+        # the caller's config
+        tols = []
+        original = shooting.integrate
+
+        def recording(*args, **kwargs):
+            tols.append(kwargs["config"].rel_tol)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "integrate", recording)
+        found = find_good_profiles(P201, 8.5, 16.5, grid_n=9, slope_tol=1e-4,
+                                   config=IntegratorConfig(rel_tol=1e-6))
+        assert len(found) == 2
+        assert len(tols) > 9 and set(tols) == {1e-6}
+
+
 def _cubic(root, c, d, sign):
     """A strictly monotone cubic with its one real zero at root."""
     return lambda x: sign * (c * (x - root) ** 3 + d * (x - root))
