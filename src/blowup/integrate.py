@@ -495,7 +495,9 @@ def _initial_step(rhs: Callable, t0: float, y0: tuple, f0: Sequence[float],
     d0 = _rms([u / s for u, s in zip(y0, scale)])
     d1 = _rms([a / s for a, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
+    # an rhs that is NaN, or too large for its scaled norm (h0 = 0), gives
+    # no step size: NaN, which the first attempt rejects
+    h0 = min(h0, interval) if h0 > 0.0 else math.nan
     y1 = tuple([u + h0 * direction * a for u, a in zip(y0, f0)])
     f1 = rhs(t0 + h0 * direction, y1)
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
@@ -741,6 +743,9 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
             n_rejected += 1
+            if not math.isfinite(h_abs):
+                raise NonFiniteState(f"no finite step size at t={t}",
+                                     result("aborted"))
         factor = (_MAX_FACTOR if error_norm == 0.0 else
                   min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
         if h_prev is not None and error_norm > 0.0:

@@ -154,22 +154,23 @@ def g_field(params: Params) -> Callable[[float, float], float]:
     return g2
 
 
-def rhs_g(params: Params, xi: float, g: float, clamp_tol: float = G_CLAMP_TOL):
+def rhs_g(params: Params, xi: float, g: float):
     """Second derivative g'' = g^(1/m)/(m-1) - xi^sigma * g.
 
-    g slightly negative (|g| <= clamp_tol) is clamped to zero; more negative
-    values are a domain error.  Accepts array input for g/xi, evaluated
-    element by element on floats, exactly as the integrator evaluates it.
+    g slightly negative (|g| <= G_CLAMP_TOL) is clamped to zero; more
+    negative values are a domain error.  Accepts array input for g/xi,
+    evaluated element by element on floats, exactly as the integrator
+    evaluates it.
     """
     field = g_field(params)
     if np.ndim(g) == 0 and np.ndim(xi) == 0:
         g, xi = float(g), float(xi)
-        if g < -clamp_tol:
-            raise ValueError(f"g < -{clamp_tol:g} is outside the model domain (g={g})")
+        if g < -G_CLAMP_TOL:
+            raise ValueError(f"g < -{G_CLAMP_TOL:g} is outside the model domain (g={g})")
         return field(xi, g)
     g_arr = np.asarray(g, dtype=float)
-    if np.any(g_arr < -clamp_tol):
-        raise ValueError(f"g < -{clamp_tol:g} is outside the model domain (g={g})")
+    if np.any(g_arr < -G_CLAMP_TOL):
+        raise ValueError(f"g < -{G_CLAMP_TOL:g} is outside the model domain (g={g})")
     return np.vectorize(field, otypes=[float])(np.asarray(xi, dtype=float),
                                                g_arr)
 

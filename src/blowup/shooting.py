@@ -12,10 +12,12 @@ fall below 2^-52, typically at delta ~ 1e-3 .. 0.1: there the series is the
 exact solution to rounding and carries the shot through the interface layer
 in place of the stepper.  The same series is used on the way *in*:
 integrating down to g = 0 across the degenerate contact is hopeless (the
-trajectory grazes zero tangentially), so shots terminate on a small positive
-g-floor and the interface location is recovered from a curvature-corrected
-projection built on the ratio r = p*g/|dg| and c_2, c_3 (see
-_project_interface).
+trajectory grazes zero tangentially), so shots terminate on a positive
+g-floor (_g_floor_fn), which at sigma = 0 and for large xi0 lies no deeper
+than where the series' last two terms reach HANDOFF_TOL.  There Newton's
+method finds the xi0 whose series passes through the floor
+state's g, and the state is on the interface branch when its dg matches the
+series' to HANDOFF_TOL (see _resolve_vanish).
 
 Good profiles (f'(0) = 0) are located as roots in xi0 of the slope of the
 backward shot at the axis, bracketed on a grid and refined by the ITP method;
@@ -39,7 +41,8 @@ from .integrate import (Event, EventKind, EventRecord, IntegrationError,
                         IntegratorConfig, IntegrationResult, integrate,
                         off_level)
 from .model import (BackwardShot, ForwardShot, Params, Profile,
-                    g_field, integral_identity_residual, rhs_g)
+                    explicit_interface_F0, g_field,
+                    integral_identity_residual, rhs_g)
 
 __all__ = [
     "Interface",
@@ -68,16 +71,11 @@ __all__ = [
     "GapBounds",
 ]
 
-#: distance from the interface (in the series variable) at which shots hand
-#: over from integration to the local series.  Deeper is worse twice over:
-#: default absolute tolerances cannot track the interface branch much below
-#: this level (trajectories bounce off a positive minimum ~1e-7), and the
-#: escaping linear mode amplifies state errors as the layer is descended.
-#: The curvature-corrected projection from this depth is accurate to ~1e-7.
-HANDOFF_DELTA = 0.15
-#: |dg| may exceed the series prediction by at most this factor at the
-#: handoff point and still count as an interface-type vanishing
-SERIES_RATIO_CUT = 10.0
+#: the relative accuracy at which the interface series stands in for a shot
+#: at the g-floor: the floor sits no deeper than where the unweighted
+#: series' last two terms reach it, and a floor state whose dg matches that
+#: of the series through its g to it lies on the interface branch
+HANDOFF_TOL = 1e-4
 #: order of the interface series seeding backward shots: it keeps the terms
 #: c_0 .. c_SERIES_ORDER
 SERIES_ORDER = 8
@@ -185,15 +183,15 @@ class InterfaceSeries:
         cd = C * delta
         return cd ** p * poly, -C * cd ** (p - 1.0) * dpoly
 
-    def seed_distance(self) -> float:
+    def seed_distance(self, tail: float = SERIES_TAIL) -> float:
         """The largest delta at which each of the last two terms is below
-        SERIES_TAIL relative to c_0 = 1, at most xi0/2."""
+        tail relative to c_0 = 1, at most xi0/2."""
         n = len(self.coefs)
         delta = 0.5 * self.xi0
         for k in (n - 2, n - 1):
             c = abs(self.coefs[k])
             if c > 0.0:
-                delta = min(delta, (SERIES_TAIL / c) ** (1.0 / k))
+                delta = min(delta, (tail / c) ** (1.0 / k))
         return delta
 
 
@@ -234,13 +232,6 @@ def interface_series(params: Params, xi0: float) -> InterfaceSeries:
         c.append((pp1 * nk - forcing) / dk)
         v.append(nk + inv_m * c[k])
     return InterfaceSeries(params, float(xi0), tuple(c))
-
-
-def _series_dg(params: Params, g: float) -> float:
-    # |dg| of an interface-type solution at level g
-    C = series_constant(params)
-    p = series_exponent(params)
-    return p * C * g ** ((p - 1.0) / p)
 
 
 def profile_rhs(params: Params):
@@ -287,27 +278,19 @@ def _g_ceiling_event(gmax: float) -> Event:
 
 
 def _g_floor_fn(params: Params, g_start: float):
-    """xi-dependent handoff floor: min of the series depth, a fraction of the
-    launch amplitude, and a fraction of the local hyperbola g-scale."""
-    m, sigma = params.m, params.sigma
-    C = series_constant(params)
-    p = series_exponent(params)
-    cap = min((C * HANDOFF_DELTA) ** p, 1e-3 * g_start)
-    if sigma == 0.0:
-        scale0 = 1e-3 * (1.0 / (m - 1.0)) ** (m / (m - 1.0))
-        const = min(cap, scale0)
-        return lambda t: const
-    k = 1e-3 * (1.0 / (m - 1.0)) ** (m / (m - 1.0))
-    expo = -m * sigma / (m - 1.0)
-
-    # below t_cut the hyperbola scale exceeds the cap anyway; clamping there
-    # avoids overflow in the negative power
-    t_cut = (cap / k) ** (1.0 / expo)
-
-    def floor(t):
-        return min(cap, k * (t if t > t_cut else t_cut) ** expo)
-
-    return floor
+    """xi-dependent handoff floor: the least of a fraction of the launch
+    amplitude, a fraction of the hyperbola g-scale (held at its xi = 1 value
+    toward the axis, where it diverges for sigma > 0), and the g at which
+    the unweighted interface series' last two terms reach HANDOFF_TOL.  The
+    last scales like the hyperbola too: for large xi0 the weighted series
+    is the unweighted one in the variable delta xi0^(sigma/2)."""
+    m = params.m
+    series = interface_series(Params(m, 0.0), explicit_interface_F0(m))
+    k = min(1e-3 * (1.0 / (m - 1.0)) ** (m / (m - 1.0)),
+            series.state(series.seed_distance(HANDOFF_TOL))[0])
+    cap = 1e-3 * g_start
+    expo = -m * params.sigma / (m - 1.0)
+    return lambda t: min(cap, k * (t if t > 1.0 else 1.0) ** expo)
 
 
 # --------------------------------------------------------------------------
@@ -383,37 +366,6 @@ def _build_profile(params: Params, t: np.ndarray, y: np.ndarray,
 # shooting
 # --------------------------------------------------------------------------
 
-def _project_interface(params: Params, xi: float, g: float, dg: float,
-                       direction: float) -> float:
-    """Interface location from the local series at (xi, g, dg).
-
-    With delta the distance to the interface, the vanishing branch expands as
-    g = A delta^p (1 + c2 delta^2 + c3 delta^3 + ...), the series of
-    interface_series (c2 = -xi0^sigma / D2, c3 = sigma xi0^(sigma-1) / D3),
-    here taken at the estimate xi0 = xi + r.  The raw ratio r = p g / |dg|
-    equals delta (1 - (2/p) c2 delta^2 - ...), so
-
-        delta = r (1 + (2/p) c2 r^2 + (3/p) c3 r^3) + O(r^4-ish).
-
-    Where dg has been flattened by a grazing minimum the series inversion
-    through the known amplitude C is used instead.
-    """
-    p = series_exponent(params)
-    C = series_constant(params)
-    delta_series = g ** (1.0 / p) / C
-    if dg * direction < 0.0:
-        r = min(p * g / abs(dg), 1.5 * delta_series)
-        xi0_est = xi + direction * r
-        if xi0_est > 0.0:
-            _, _, c2, c3 = interface_series(params, xi0_est).coefs[:4]
-            r = r * (1.0 + (2.0 / p) * c2 * r * r
-                     + (3.0 / p) * c3 * r ** 3)
-        delta = r
-    else:
-        delta = delta_series
-    return xi + direction * delta
-
-
 class VanishKind(enum.Enum):
     INTERFACE = "interface"
     VERTICAL_SLOPE = "vertical_slope"
@@ -434,27 +386,52 @@ def classify_vanish(params: Params, record: EventRecord, dg_scale: float,
             else VanishKind.VERTICAL_SLOPE)
 
 
+def _series_through(params: Params, xi_h: float, g_h: float,
+                    direction: float) -> Optional[Tuple[float, float]]:
+    """(xi0, dg): the interface xi0 whose series passes through g_h at xi_h,
+    with the dg of that series state, or None when an iterate leaves
+    xi0 > 0.  direction points from xi_h toward the interface.
+
+    Newton's method on delta = |xi0 - xi_h|, started from the leading term
+    delta = g_h^(1/p)/C, with the coefficients taken at each iterate's xi0;
+    it stops when a step no longer shrinks, at rounding level.
+    """
+    delta = g_h ** (1.0 / series_exponent(params)) / series_constant(params)
+    last = np.inf
+    while True:
+        xi0 = xi_h + direction * delta
+        if not xi0 > 0.0:
+            return None
+        g, dg = interface_series(params, xi0).state(delta)
+        step = (g - g_h) / dg
+        if not abs(step) < last:
+            return float(xi0), dg
+        delta, last = delta + step, abs(step)
+
+
 def _resolve_vanish(params: Params, res: IntegrationResult, rhs, events,
-                    cfg: IntegratorConfig, t_end: float
+                    cfg: IntegratorConfig, t_end: float,
+                    at_end: Callable[[IntegrationResult], ShotOutcome]
                     ) -> Tuple[ShotOutcome, Optional[IntegrationResult]]:
     """Terminal g-floor hit: decide interface vs vertical slope.
 
-    At the handoff state the series predicts |dg| for an interface-type
-    approach.  Within SERIES_RATIO_CUT of it the interface location is
-    projected through the curvature-corrected series right here: integrating
-    deeper only degrades the state, since the escaping linear mode amplifies
-    its error like 1/delta^2.  Otherwise dg is genuinely nonzero at vanishing
-    and the shot is continued across g = 0, where the standard classification
-    applies.
+    The interface series through the floor state's g fixes xi0; when the
+    state's dg matches that series state's to HANDOFF_TOL the shot ends
+    there at Interface(xi0): integrating deeper only degrades the state,
+    since the escaping linear mode amplifies its error like 1/delta^2.
+    Otherwise the shot is continued across g = 0, where the standard
+    classification applies, or to the end of its span (at_end).
     """
     term = res.terminal_event
     xi_h, g_h, dg_h = term.t, max(float(term.y[0]), 0.0), float(term.y[1])
     direction = 1.0 if t_end >= xi_h else -1.0
-    ratio = abs(dg_h) / max(_series_dg(params, max(g_h, 1e-300)), 1e-300)
-
-    if dg_h * direction < 0.0 and ratio < SERIES_RATIO_CUT:
-        xi0 = _project_interface(params, xi_h, g_h, dg_h, direction)
-        return Interface(xi0), None
+    located = _series_through(params, xi_h, g_h, direction) if g_h > 0.0 \
+        else None
+    if located is not None:
+        xi0, dg_s = located
+        # the series branch descends toward xi0 in either direction
+        if abs(direction * dg_h - dg_s) < HANDOFF_TOL * abs(dg_s):
+            return Interface(xi0), None
 
     # transversal vanishing: cross g = 0 properly and classify there
     cont_events = [_g_floor_event(lambda t: 0.0)] + [ev for ev in events
@@ -466,7 +443,7 @@ def _resolve_vanish(params: Params, res: IntegrationResult, rhs, events,
         return Diverged(str(err)), err.partial
     term2 = res2.terminal_event
     if term2 is None:
-        return Exhausted(t_end), res2
+        return at_end(res2), res2
     dg_scale = max(float(np.max(np.abs(res.y[:, 1]))),
                    float(np.max(np.abs(res2.y[:, 1]))))
     kind = classify_vanish(params, term2, dg_scale)
@@ -514,7 +491,7 @@ def _shoot(params: Params, provenance: Union[ForwardShot, BackwardShot],
             outcome = Diverged("g exceeded ceiling")
         else:
             outcome, res2 = _resolve_vanish(params, res, rhs, events, cfg,
-                                            t_span[1])
+                                            t_span[1], at_end)
 
     t, y, records = _merge(res, res2)
     if head is not None:

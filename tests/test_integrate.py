@@ -142,6 +142,51 @@ class TestFailures:
         with pytest.raises(NonFiniteState):
             integrate(_decay, [np.nan], (0.0, 1.0))
 
+    @pytest.mark.parametrize("value, span", [
+        (math.nan, (0.0, 2.0)),     # the starting step is NaN
+        (1e308, (0.0, 10.0)),       # its scaled norm overflows: h0 = 0
+        (math.inf, (0.0, 10.0)),
+    ])
+    def test_nonfinite_rhs_from_the_start(self, value, span):
+        rhs, calls = _bad_rhs(value, at_call=1)
+        with pytest.raises(NonFiniteState) as err:
+            integrate(rhs, [1.0], span)
+        part = err.value.partial
+        assert part.n_steps == 0 and part.n_rejected == 1
+        assert part.t.tolist() == [span[0]]
+        assert part.n_rhs == calls[0]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e308, -1e308])
+    @pytest.mark.parametrize("at_call", [2, 3, 14, 100])
+    def test_rhs_turns_nonfinite(self, value, at_call):
+        # a typed failure with the partial trajectory, within the call
+        # budget: from t = 0 the step shrinks to 10 ulp in ~460 rejections
+        rhs, calls = _bad_rhs(value, at_call)
+        with pytest.raises(IntegrationError) as err:
+            integrate(rhs, [1.0], (0.0, 10.0))
+        part = err.value.partial
+        assert part is not None and part.n_rhs == calls[0]
+        assert np.isfinite(part.y).all()
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _bad_rhs(value, at_call, budget=20_000):
+    """y' = -y up to call at_call, then value on every call; raises
+    _OverBudget after budget calls, so that a hang fails instead of
+    stalling."""
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        if calls[0] > budget:
+            raise _OverBudget(calls[0])
+        return (value,) if calls[0] >= at_call else (-y[0],)
+
+    return rhs, calls
+
 
 def _square(t, y):
     return (y[0] * y[0],)  # y(0) = 1: y = 1/(1 - t), blow-up at t = 1

@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blowup import shooting
-from blowup.integrate import (EventKind, EventRecord, IntegratorConfig,
-                              integrate)
-from blowup.model import Params, explicit_interface_F0, g_field
-from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, SERIES_ORDER,
-                             Exhausted, Interface, ReachedOrigin,
+from blowup.integrate import (EventKind, EventRecord, IntegrationResult,
+                              IntegratorConfig, integrate)
+from blowup.model import (Params, explicit_interface_F0,
+                          explicit_profile_F0, g_field)
+from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, HANDOFF_TOL,
+                             SERIES_ORDER, Exhausted, Interface, ReachedOrigin,
                              SeedUnderflow, VanishKind, VerticalSlope, _itp_root, _validate_good,
                              classify_vanish, count_maxima,
                              find_good_profiles, interface_series,
@@ -61,7 +62,7 @@ class TestSeriesSeed:
     @settings(max_examples=200, deadline=None)
     @given(**_series_params)
     def test_closed_form_low_terms(self, m, sigma, xi0):
-        # the forms _project_interface used inline, to the bit
+        # the closed forms of c_2 and c_3, to the bit
         c = interface_series(Params(m, sigma), xi0).coefs
         p = 2.0 * m / (m - 1.0)
         d2 = (p + 2.0) * (p + 1.0) - p * (p - 1.0) / m
@@ -204,7 +205,7 @@ class TestForwardShot:
     def test_sigma0_explicit_interface(self):
         # the sigma=0 shot from the explicit amplitude lands its interface at
         # pi*m/(m-1); tight tolerances since the interface layer amplifies
-        # integration error into the projected location
+        # integration error into the located interface
         prof, out = shoot_forward(P20, 4.0 / 3.0, xi_max=20.0, config=TIGHT)
         assert isinstance(out, Interface)
         assert out.xi0 == pytest.approx(2.0 * np.pi, abs=1e-5)
@@ -239,6 +240,66 @@ class TestForwardShot:
                                       xi_max=20.0, config=TIGHT)
         assert isinstance(out_f, Interface)
         assert out_f.xi0 == pytest.approx(9.6355, abs=5e-3)
+
+
+class TestSeriesHandoff:
+    """A shot hands off at the g-floor to the interface series through the
+    floor state's g, found by Newton's method on the distance."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(**_series_params, frac=st.floats(1e-3, 1.0))
+    def test_exact_series_state_round_trip(self, m, sigma, xi0, frac):
+        # the state of the full series at any depth up to the handoff depth
+        # is on the interface branch, and Newton recovers its xi0
+        params = Params(m, sigma)
+        series = interface_series(params, xi0)
+        d = frac * series.seed_distance(HANDOFF_TOL)
+        xi = xi0 - d
+        g, dg = series.state(xi0 - xi)
+        assume(g > 1e-250)
+        state = np.array([g, dg])
+        res = IntegrationResult(np.array([xi]), state[None, :], [
+            EventRecord(EventKind.GZERO, xi, state, True)])
+        outcome, cont = shooting._resolve_vanish(
+            params, res, profile_rhs(params), [], IntegratorConfig(),
+            xi0 + 1.0, lambda res: Exhausted(xi0 + 1.0))
+        assert cont is None and isinstance(outcome, Interface)
+        assert outcome.xi0 == pytest.approx(xi0, rel=1e-12)
+
+    # the error of the forward interface against pi m/(m-1) at sigma = 0,
+    # from the exact amplitude; at rel_tol 1e-10 and 1e-12 it was
+    # +1.8e-8, -6.2e-9 (m = 1.5), +1.7e-8, +3.1e-10 (1.75),
+    # +1.4e-8, +3.4e-10 (2) and +3.7e-9, +1.6e-10 (3)
+    @pytest.mark.parametrize("m", [1.5, 1.75, 2.0, 3.0])
+    @pytest.mark.parametrize("rel_tol, bound", [(1e-10, 5e-8), (1e-12, 2e-8)])
+    def test_sigma0_forward_interface(self, m, rel_tol, bound):
+        ref = explicit_interface_F0(m)
+        _, out = shoot_forward(Params(m, 0.0), explicit_profile_F0(m, 0.0),
+                               xi_max=2.5 * ref,
+                               config=IntegratorConfig(rel_tol=rel_tol),
+                               dense_dx=None)
+        assert isinstance(out, Interface), out
+        assert abs(out.xi0 - ref) < bound
+
+    def test_backward_shot_past_the_floor_reaches_the_axis(self):
+        # from 4 pi - 0.17 the sigma = 0 branch passes g = 5.3e-6 at the
+        # axis, below the floor: the series through the floor state
+        # vanishes at xi0 < 0, so the shot goes on to the axis, where
+        # f'(0) = -sin(xi0/2)/3
+        xi0 = 12.4
+        prof, out = shoot_backward(P20, xi0, dense_dx=None,
+                                   track_events=False)
+        assert isinstance(out, ReachedOrigin), out
+        assert out.slope == pytest.approx(-np.sin(0.5 * xi0) / 3.0, rel=1e-3)
+        assert prof.g.min() < 1e-3
+
+    def test_sigma0_m3_error_falls_with_the_tolerance(self):
+        ref = explicit_interface_F0(3.0)
+        errors = [abs(shoot_forward(
+            Params(3.0, 0.0), explicit_profile_F0(3.0, 0.0), xi_max=2.5 * ref,
+            config=IntegratorConfig(rel_tol=tol), dense_dx=None)[1].xi0 - ref)
+            for tol in (1e-10, 1e-12)]
+        assert errors[1] < 0.1 * errors[0]
 
 
 class TestBackwardShot:
