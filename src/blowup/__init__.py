@@ -19,8 +19,7 @@ from .phase import (CriticalPoint, NormalFormCoeffs, PhaseState,
                     p3_spiral_diagnostic, to_phase, vf_main)
 from .shooting import (Diverged, Exhausted, GapBounds, GoodProfile, Interface,
                        ReachedOrigin, ShotOutcome, SlopeUnreliable,
-                       VerticalSlope, classify_vanish, count_maxima,
-                       find_good_profiles, multiplicity_scan,
+                       VerticalSlope, find_good_profiles, multiplicity_scan,
                        nonexistence_gap, shoot_backward, shoot_forward,
                        slope_fn)
 from .analysis import (cylinder_invariance_check, interface_origin_check,
@@ -34,7 +33,7 @@ __all__ = [
     "hyperbola_phi_max", "integral_identity_residual",
     "Event", "EventKind", "EventRecord", "IntegratorConfig",
     "IntegrationResult", "IntegrationError", "MaxStepsExceeded",
-    "StepUnderflow", "NonFiniteState", "integrate", "classify_vanish",
+    "StepUnderflow", "NonFiniteState", "integrate",
     "PhaseState", "CriticalPoint", "NormalFormCoeffs",
     "vf_main", "to_phase", "from_phase", "jacobian_main",
     "critical_points", "cylinder_value", "cylinder_flux", "invariant_K",
@@ -42,7 +41,7 @@ __all__ = [
     "ShotOutcome", "Interface", "VerticalSlope", "ReachedOrigin", "Diverged",
     "Exhausted", "GoodProfile", "GapBounds", "SlopeUnreliable",
     "shoot_forward", "shoot_backward", "slope_fn", "find_good_profiles",
-    "count_maxima", "multiplicity_scan", "nonexistence_gap",
+    "multiplicity_scan", "nonexistence_gap",
     "cylinder_invariance_check", "interface_origin_check", "phi_extremum",
     "monotone_exclusion_check",
     "__version__",

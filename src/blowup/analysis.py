@@ -36,6 +36,21 @@ __all__ = [
 
 #: radius (max-norm) used when matching an orbit endpoint to a catalog point
 NEIGHBORHOOD_RADIUS = 0.05
+#: integrate_orbit stops an orbit whose state max-norm passes this
+ORBIT_BOUND = 1e3
+#: an orbit re-enters the cylinder when its cylinder value falls below -this
+CYLINDER_TOL = 1e-8
+#: phi'(x0) must vanish to this, relative to max(1, xi1^sigma)
+PHI_CHECK_TOL = 1e-12
+#: monotone_exclusion_check shoots both profiles up to this xi
+EXCLUSION_XI_MAX = 50.0
+#: ordered shots cross when g2 < g1 - this times the larger max g
+EXCLUSION_TOL = 1e-9
+#: p2_orbit_profile gives up when the orbit has not reached Z = 1/m by this eta
+P2_ETA_MAX = 200.0
+#: absolute slack of the f bounds in p2_lower_bound_check and
+#: backward_crossing_bound_check
+BOUND_TOL = 1e-8
 
 
 @dataclass
@@ -60,17 +75,16 @@ def _norm_bound_event(bound: float) -> Event:
 
 
 def integrate_orbit(params: Params, start: PhaseState, eta_max: float,
-                    bound: float = 1e3,
                     config: Optional[IntegratorConfig] = None) -> OrbitReport:
     """Integrate the main system from start, tracking the cylinder sign.
 
-    Stops when the state norm passes `bound` or at eta_max.  The terminal
+    Stops when the state norm passes ORBIT_BOUND or at eta_max.  The terminal
     classification is the nearest finite catalog point within
     NEIGHBORHOOD_RADIUS, a divergence direction, or "interior".
     """
     cfg = config or IntegratorConfig()
     res = integrate(main_rhs(params), start.as_array(), (0.0, eta_max),
-                    events=(_norm_bound_event(bound),), config=cfg)
+                    events=(_norm_bound_event(ORBIT_BOUND),), config=cfg)
     states = res.y
     cyl = (states[:, 1] ** 2 - 2.0 / (params.m + 1.0)
            + states[:, 2] / params.m)
@@ -97,11 +111,11 @@ def integrate_orbit(params: Params, start: PhaseState, eta_max: float,
 
 
 def cylinder_invariance_check(params: Params, start: PhaseState,
-                              eta_max: float, tol: float = 1e-8,
+                              eta_max: float,
                               config: Optional[IntegratorConfig] = None
                               ) -> Optional[bool]:
     """True iff an orbit started outside the cylinder never re-enters it
-    (cylinder_value > -tol along the whole computed orbit).
+    (cylinder_value > -CYLINDER_TOL along the whole computed orbit).
 
     Integration failures return None (indeterminate), never False.
     """
@@ -111,7 +125,7 @@ def cylinder_invariance_check(params: Params, start: PhaseState,
         report = integrate_orbit(params, start, eta_max, config=config)
     except IntegrationError:
         return None
-    return bool(np.min(report.cylinder_values) > -tol)
+    return bool(np.min(report.cylinder_values) > -CYLINDER_TOL)
 
 
 def interface_origin_check(params: Params, xi0: float,
@@ -124,12 +138,12 @@ def interface_origin_check(params: Params, xi0: float,
     return isinstance(outcome, ReachedOrigin) and outcome.f0 > 0.0
 
 
-def phi_extremum(params: Params, xi1: float, check_tol: float = 1e-12) -> float:
+def phi_extremum(params: Params, xi1: float) -> float:
     """Argmax x0 of phi(x) = x^(1/m)/(m-1) - xi1^sigma x on x > 0:
 
         x0 = (m(m-1))^(-m/(m-1)) * xi1^(-m sigma/(m-1));
 
-    phi'(x0) is verified to vanish to check_tol, and x0^(1/m) equals
+    phi'(x0) is verified to vanish to PHI_CHECK_TOL, and x0^(1/m) equals
     hyperbola_phi_max(xi1).
     """
     if xi1 <= 0.0:
@@ -137,7 +151,7 @@ def phi_extremum(params: Params, xi1: float, check_tol: float = 1e-12) -> float:
     m, sigma = params.m, params.sigma
     x0 = (m * (m - 1.0)) ** (-m / (m - 1.0)) * xi1 ** (-m * sigma / (m - 1.0))
     dphi = x0 ** (1.0 / m - 1.0) / (m * (m - 1.0)) - xi1 ** sigma
-    if abs(dphi) > check_tol * max(1.0, xi1 ** sigma):
+    if abs(dphi) > PHI_CHECK_TOL * max(1.0, xi1 ** sigma):
         raise AssertionError(f"phi'(x0) = {dphi}, expected 0")
     return float(x0)
 
@@ -158,23 +172,22 @@ def _first_phi_max_sample(profile) -> Optional[int]:
 
 def monotone_exclusion_check(params: Params, a1: float,
                              a2: Optional[float] = None,
-                             slope2: float = 0.0,
-                             xi_max: float = 50.0,
-                             tol: float = 1e-9) -> bool:
+                             slope2: float = 0.0) -> bool:
     """No-crossing property of ordered shots from the axis.
 
     Either f2(0) = f1(0) = a1 with slope2 > 0 (and f1 flat), or
     f2(0) = a2 > a1 with both flat.  The two profiles may not cross before
-    each has crossed the phi-max hyperbola; this checks g2 > g1 - tol on the
+    each has crossed the phi-max hyperbola; this shoots both up to
+    EXCLUSION_XI_MAX and checks g2 > g1 - EXCLUSION_TOL max(g1, g2) on a
     common grid up to the later of the two first crossings.
     """
     if a2 is None and slope2 <= 0.0:
         raise ValueError("need either a2 > a1 or slope2 > 0")
-    p1, _ = shoot_forward(params, a1, xi_max=xi_max, dense_dx=0.01,
+    p1, _ = shoot_forward(params, a1, xi_max=EXCLUSION_XI_MAX, dense_dx=0.01,
                           track_events=False)
     p2, _ = shoot_forward(params, a2 if a2 is not None else a1,
-                          slope0=slope2, xi_max=xi_max, dense_dx=0.01,
-                          track_events=False)
+                          slope0=slope2, xi_max=EXCLUSION_XI_MAX,
+                          dense_dx=0.01, track_events=False)
     c1 = _first_phi_max_sample(p1)
     c2 = _first_phi_max_sample(p2)
     # the ordering claim is vacuous past the point where both have crossed
@@ -185,7 +198,7 @@ def monotone_exclusion_check(params: Params, a1: float,
     g1 = np.interp(grid, p1.xi, p1.g)
     g2 = np.interp(grid, p2.xi, p2.g)
     scale = max(float(np.max(p1.g)), float(np.max(p2.g)))
-    return bool(np.min(g2 - g1) > -tol * scale)
+    return bool(np.min(g2 - g1) > -EXCLUSION_TOL * scale)
 
 
 # --------------------------------------------------------------------------
@@ -193,11 +206,11 @@ def monotone_exclusion_check(params: Params, a1: float,
 # --------------------------------------------------------------------------
 
 def p2_orbit_profile(params: Params, delta: float = 1e-6,
-                     eta_max: float = 200.0,
                      config: Optional[IntegratorConfig] = None
                      ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Profile samples (xi, f) on the unique orbit leaving P2 into Z > 0,
-    up to its first crossing of the plane Z = 1/m.
+    up to its first crossing of the plane Z = 1/m (by eta = P2_ETA_MAX, else
+    IntegrationError).
 
     The orbit is launched at P2 + delta * e3 (e3 the outgoing eigenvector,
     normalized, oriented into Z > 0); profile points are recovered from
@@ -216,11 +229,11 @@ def p2_orbit_profile(params: Params, delta: float = 1e-6,
     cross = Event(EventKind.HYP_PHI_MAX_CROSS, lambda t, y: y[2] - level,
                   direction=+1, terminal=True, one_sign=off_level(2, level))
     cfg = config or IntegratorConfig()
-    res = integrate(main_rhs(params), start, (0.0, eta_max), events=(cross,),
-                    config=cfg)
+    res = integrate(main_rhs(params), start, (0.0, P2_ETA_MAX),
+                    events=(cross,), config=cfg)
     if res.terminal_event is None:
         raise IntegrationError("P2 orbit did not reach Z = 1/m "
-                               f"within eta_max={eta_max}")
+                               f"within eta_max={P2_ETA_MAX}")
     xs, fs = [], []
     for state in res.y:
         X, Y, Z = state
@@ -233,27 +246,28 @@ def p2_orbit_profile(params: Params, delta: float = 1e-6,
     return np.asarray(xs), np.asarray(fs), float(xi_cross)
 
 
-def p2_lower_bound_check(params: Params, tol: float = 1e-8
-                         ) -> Tuple[bool, float]:
+def p2_lower_bound_check(params: Params) -> Tuple[bool, float]:
     """The P2-orbit profile dominates [c*xi]^(2/(m-1)) with
     c = ((m-1)/(2m)) sqrt((2m+1)/(m(m+1))) up to its first phi-max crossing,
-    and that crossing happens at xi <= xi_plus.  Returns (ok, xi_cross).
+    to BOUND_TOL, and that crossing happens at xi <= xi_plus.  Returns
+    (ok, xi_cross).
     """
     from .shooting import nonexistence_gap
     m = params.m
     xi, f, xi_cross = p2_orbit_profile(params)
     c = (m - 1.0) / (2.0 * m) * np.sqrt((2.0 * m + 1.0) / (m * (m + 1.0)))
     lower = (c * xi) ** (2.0 / (m - 1.0))
-    ok = bool(np.all(f >= lower - tol - 1e-12 * np.abs(f)))
+    ok = bool(np.all(f >= lower - BOUND_TOL - 1e-12 * np.abs(f)))
     gap = nonexistence_gap(params)
     ok = ok and (xi_cross <= gap.xi_plus + 1e-6)
     return ok, xi_cross
 
 
-def backward_crossing_bound_check(params: Params, xi0: float,
-                                  tol: float = 1e-8) -> Tuple[bool, float]:
+def backward_crossing_bound_check(params: Params, xi0: float
+                                  ) -> Tuple[bool, float]:
     """Backward shots cross the phi-max hyperbola for the last time no closer
-    to the axis than xi_minus, with f there below [((m-1)h0/sigma) xi]^(2/(m-1)).
+    to the axis than xi_minus, with f there below
+    [((m-1)h0/sigma) xi]^(2/(m-1)) up to BOUND_TOL.
 
     Returns (ok, xi_last_crossing).
     """
@@ -271,5 +285,5 @@ def backward_crossing_bound_check(params: Params, xi0: float,
     f_c = float(profile.f[i])
     bound = ((m - 1.0) * params.h0 / sigma * xi_c) ** (2.0 / (m - 1.0))
     gap = nonexistence_gap(params)
-    ok = (f_c <= bound + tol) and (xi_c >= gap.xi_minus - 1e-6)
+    ok = (f_c <= bound + BOUND_TOL) and (xi_c >= gap.xi_minus - 1e-6)
     return bool(ok), xi_c

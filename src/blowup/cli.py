@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, acceptance, phase, shooting
 from .integrate import IntegratorConfig, IntegrationError
 from .model import Params, integral_identity_residual
-from .shooting import (Diverged, Exhausted, Interface, ReachedOrigin,
+from .shooting import (Diverged, Interface, ReachedOrigin, ShotOutcome,
                        SlopeUnreliable, VerticalSlope)
 
 SCHEMA = "v1"
@@ -89,7 +89,7 @@ def _config(args) -> IntegratorConfig:
     return IntegratorConfig(**kwargs)
 
 
-def _outcome_dict(outcome) -> dict:
+def _outcome_dict(outcome: ShotOutcome) -> dict:
     if isinstance(outcome, Interface):
         return {"kind": "interface", "xi0": outcome.xi0}
     if isinstance(outcome, VerticalSlope):
@@ -99,9 +99,8 @@ def _outcome_dict(outcome) -> dict:
                 "slope": outcome.slope}
     if isinstance(outcome, Diverged):
         return {"kind": "diverged", "reason": outcome.reason}
-    if isinstance(outcome, Exhausted):
-        return {"kind": "exhausted", "xi_max": outcome.xi_max}
-    return {"kind": "unknown"}
+    # ShotOutcome is a closed union: what is left is Exhausted
+    return {"kind": "exhausted", "xi_max": outcome.xi_max}
 
 
 def cmd_profile(args) -> int:
@@ -340,7 +339,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (IntegrationError, SlopeUnreliable, FloatingPointError) as err:
+    except (IntegrationError, SlopeUnreliable, OverflowError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as err:

@@ -333,7 +333,8 @@ class IntegrationResult:
     t: np.ndarray                     # trajectory abscissae, integration order
     y: np.ndarray                     # shape (len(t), dim)
     events: List[EventRecord] = field(default_factory=list)
-    reason: str = "completed"         # "completed" | "terminal_event"
+    reason: str = "completed"         # "completed" | "terminal_event" |
+                                      # "aborted" (a failure's partial result)
     n_steps: int = 0                  # accepted steps
     n_rejected: int = 0               # rejected step attempts
     n_rhs: int = 0                    # rhs evaluations

@@ -61,6 +61,15 @@ __all__ = [
 #: orbits whose Z coordinate exceeds this are flagged as diverged-with-anomaly
 #: (no admissible orbit escapes with Z -> infinity)
 Z_DIVERGENCE_BOUND = 1e6
+#: the unsimplified and simplified cylinder flux must agree to this
+FLUX_IDENTITY_TOL = 1e-12
+#: the closed-form and generic normal-form coefficients must agree to this
+NORMAL_FORM_TOL = 1e-12
+#: p3_spiral_diagnostic integrates at most this far in eta
+SPIRAL_ETA_MAX = 2000.0
+#: p3_spiral_diagnostic stops when |Y| grows past this: the orbit has left
+#: the P3 region
+SPIRAL_EXIT_BOUND = 5.0
 
 
 @dataclass(frozen=True)
@@ -266,13 +275,14 @@ def cylinder_point(params: Params, Y: float, X: float = 0.0) -> PhaseState:
     return PhaseState(X, Y, Z)
 
 
-def cylinder_flux(params: Params, s: PhaseState, identity_tol: float = 1e-12) -> float:
+def cylinder_flux(params: Params, s: PhaseState) -> float:
     """Outward normal flux of the flow on the cylinder at s: sigma*X*Z/m.
 
     s must lie on the cylinder (|cylinder_value| < 1e-10).  The unsimplified
     normal flow  -(m+1)Y^3 + 2Y - 2YZ + ((m-1)/m)YZ + (sigma/m)XZ, evaluated
     with Z eliminated through the cylinder equation, must agree with the
-    simplified form to identity_tol, otherwise FluxIdentityError is raised.
+    simplified form to FLUX_IDENTITY_TOL, otherwise FluxIdentityError is
+    raised.
     """
     m, sigma = params.m, params.sigma
     if abs(cylinder_value(params, s)) >= 1e-10:
@@ -282,7 +292,7 @@ def cylinder_flux(params: Params, s: PhaseState, identity_tol: float = 1e-12) ->
     full = (-(m + 1.0) * Y ** 3 + 2.0 * Y - 2.0 * Y * Zc
             + (m - 1.0) / m * Y * Zc + sigma / m * X * Zc)
     simple = sigma * X * Zc / m
-    if abs(full - simple) > identity_tol:
+    if abs(full - simple) > FLUX_IDENTITY_TOL:
         raise FluxIdentityError(
             f"flux forms disagree by {abs(full - simple):.3e} at {s}")
     return simple
@@ -388,12 +398,12 @@ def _normal_form_generic(params: Params) -> NormalFormCoeffs:
                             H110=h["h110"], H210=H210, H021=H021)
 
 
-def normal_form_p3(params: Params, check_tol: float = 1e-12) -> NormalFormCoeffs:
+def normal_form_p3(params: Params) -> NormalFormCoeffs:
     """Normal-form coefficients at P3, cross-checked two ways.
 
     The closed forms and the generic-formula recomputation from the Taylor
-    data must agree to check_tol, else NormalFormMismatch.  Requires sigma > 0
-    (at sigma = 0 the plane X = 0 analysis applies instead).
+    data must agree to NORMAL_FORM_TOL, else NormalFormMismatch.  Requires
+    sigma > 0 (at sigma = 0 the plane X = 0 analysis applies instead).
     """
     if params.sigma <= 0.0:
         raise ValueError("normal form at P3 is set up for sigma > 0")
@@ -403,7 +413,7 @@ def normal_form_p3(params: Params, check_tol: float = 1e-12) -> NormalFormCoeffs
              (a.G300, b.G300), (a.H110, b.H110), (a.H210, b.H210),
              (a.H021, b.H021)]
     worst = max(abs(np.complex128(x) - np.complex128(y)) for x, y in pairs)
-    if worst > check_tol:
+    if worst > NORMAL_FORM_TOL:
         raise NormalFormMismatch(
             f"closed-form vs generic normal-form coefficients differ by {worst:.3e}")
     return a
@@ -422,19 +432,19 @@ class SpiralDiagnostic:
 
 
 def p3_spiral_diagnostic(params: Params, start: PhaseState, turns: int,
-                         eta_max: float = 2000.0, exit_bound: float = 5.0,
                          config: Optional[IntegratorConfig] = None,
                          full: bool = False):
     """Distances r_k to P3 at successive returns to the section {Y=0, Z>1}.
 
     The orbit through `start` is integrated until it has produced `turns`
-    section returns, left the P3 region (|Y| > exit_bound; with full=True
-    integration always continues to the exit), or eta_max.  On the section
-    Y = 0 with Z > 1 the flow has Y' = 1 - Z < 0, so crossings are detected
-    on falling Y and filtered by Z > 1; r_k = Z_k - 1.  For X > 0 the radii
-    grow strictly (outgoing spiral); on the invariant plane X = 0 the orbit
-    is closed and the radii are constant.  Returns the list of radii, or the
-    full SpiralDiagnostic when full=True.
+    section returns, left the P3 region (|Y| > SPIRAL_EXIT_BOUND; with
+    full=True integration always continues to the exit), or SPIRAL_ETA_MAX.
+    On the section Y = 0 with Z > 1 the flow has Y' = 1 - Z < 0, so
+    crossings are detected on falling Y and filtered by Z > 1;
+    r_k = Z_k - 1.  For X > 0 the radii grow strictly (outgoing spiral); on
+    the invariant plane X = 0 the orbit is closed and the radii are
+    constant.  Returns the list of radii, or the full SpiralDiagnostic when
+    full=True.
     """
     if turns < 2:
         raise ValueError("need at least 2 returns to diagnose growth")
@@ -442,13 +452,13 @@ def p3_spiral_diagnostic(params: Params, start: PhaseState, turns: int,
 
     def inside_or_beyond_exit(t_a, t_b, boxes):
         lo, hi = boxes[1]
-        return (-exit_bound < lo and hi < exit_bound
-                or lo > exit_bound or hi < -exit_bound)
+        return (-SPIRAL_EXIT_BOUND < lo and hi < SPIRAL_EXIT_BOUND
+                or lo > SPIRAL_EXIT_BOUND or hi < -SPIRAL_EXIT_BOUND)
 
     section = Event(EventKind.SECTION_CROSS, lambda t, y: y[1],
                     direction=-1, terminal=False, one_sign=off_level(1, 0.0))
     exit_ev = Event(EventKind.STATE_BOUND,
-                    lambda t, y: exit_bound - abs(y[1]),
+                    lambda t, y: SPIRAL_EXIT_BOUND - abs(y[1]),
                     direction=-1, terminal=True,
                     one_sign=inside_or_beyond_exit)
     z_guard = Event(EventKind.STATE_BOUND,
@@ -465,8 +475,8 @@ def p3_spiral_diagnostic(params: Params, start: PhaseState, turns: int,
     eta = 0.0
     y = start.as_array()
     res = None
-    while eta < eta_max:
-        span = min(chunk, eta_max - eta)
+    while eta < SPIRAL_ETA_MAX:
+        span = min(chunk, SPIRAL_ETA_MAX - eta)
         res = integrate(main_rhs(params), y, (eta, eta + span),
                         events=(section, exit_ev, z_guard), config=cfg)
         for rec in res.events:

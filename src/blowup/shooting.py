@@ -17,7 +17,9 @@ g-floor (_g_floor_fn), which at sigma = 0 and for large xi0 lies no deeper
 than where the series' last two terms reach HANDOFF_TOL.  There Newton's
 method finds the xi0 whose series passes through the floor
 state's g, and the state is on the interface branch when its dg matches the
-series' to HANDOFF_TOL (see _resolve_vanish).
+series' to HANDOFF_TOL (see _resolve_vanish).  That is the one interface
+test: a shot that fails it is continued, and when it crosses g = 0 it does
+so with dg bounded away from 0, a vertical slope.
 
 Good profiles (f'(0) = 0) are located as roots in xi0 of the slope of the
 backward shot at the axis, bracketed on a grid and refined by the ITP method;
@@ -30,7 +32,6 @@ caller's tolerance, which supplies every reported number.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -60,11 +61,8 @@ __all__ = [
     "interface_series",
     "shoot_forward",
     "shoot_backward",
-    "classify_vanish",
-    "VanishKind",
     "slope_fn",
     "find_good_profiles",
-    "count_maxima",
     "multiplicity_scan",
     "ScanRow",
     "nonexistence_gap",
@@ -98,6 +96,9 @@ DEFAULT_SLOPE_TOL = 1e-6
 #: the loosest relative tolerance a sign decision on a slope uses: the grid
 #: and ITP shots of find_good_profiles run at it or tighter
 SEARCH_REL_TOL = 1e-6
+#: evaluation budget of the ITP refinement of one bracketing grid cell: the
+#: bracket it leaves is at most 2^-(ITP_MAX_DEPTH - 1) of the cell
+ITP_MAX_DEPTH = 60
 #: |f'(0)| below this counts as a flat axis start when classifying extrema;
 #: it must not be tighter than the loosest slope_tol a search uses, or a
 #: sigma = 0 root whose search stopped at f'(0) < 0 loses its maximum
@@ -366,26 +367,6 @@ def _build_profile(params: Params, t: np.ndarray, y: np.ndarray,
 # shooting
 # --------------------------------------------------------------------------
 
-class VanishKind(enum.Enum):
-    INTERFACE = "interface"
-    VERTICAL_SLOPE = "vertical_slope"
-
-
-def classify_vanish(params: Params, record: EventRecord, dg_scale: float,
-                    vanish_rel_tol: float = 1e-6) -> VanishKind:
-    """Classify a g = 0 crossing as a true interface or a vertical-slope zero.
-
-    At an interface g ~ (xi0 - xi)^(2m/(m-1)), so dg -> 0 there; at a
-    vertical-slope vanishing point g ~ C2 - C1*(...)  with dg bounded away
-    from zero.  dg_scale should be max|dg| along the trajectory.
-    """
-    if record.kind is not EventKind.GZERO:
-        raise ValueError("classify_vanish expects a GZERO event record")
-    tol = vanish_rel_tol * max(dg_scale, 1e-300)
-    return (VanishKind.INTERFACE if abs(float(record.y[1])) < tol
-            else VanishKind.VERTICAL_SLOPE)
-
-
 def _series_through(params: Params, xi_h: float, g_h: float,
                     direction: float) -> Optional[Tuple[float, float]]:
     """(xi0, dg): the interface xi0 whose series passes through g_h at xi_h,
@@ -419,8 +400,9 @@ def _resolve_vanish(params: Params, res: IntegrationResult, rhs, events,
     state's dg matches that series state's to HANDOFF_TOL the shot ends
     there at Interface(xi0): integrating deeper only degrades the state,
     since the escaping linear mode amplifies its error like 1/delta^2.
-    Otherwise the shot is continued across g = 0, where the standard
-    classification applies, or to the end of its span (at_end).
+    This is the only interface test.  Otherwise the shot is continued: it
+    ends at VerticalSlope where it crosses g = 0, or at the end of its span
+    (at_end).
     """
     term = res.terminal_event
     xi_h, g_h, dg_h = term.t, max(float(term.y[0]), 0.0), float(term.y[1])
@@ -433,7 +415,8 @@ def _resolve_vanish(params: Params, res: IntegrationResult, rhs, events,
         if abs(direction * dg_h - dg_s) < HANDOFF_TOL * abs(dg_s):
             return Interface(xi0), None
 
-    # transversal vanishing: cross g = 0 properly and classify there
+    # transversal vanishing: off the interface branch, g = 0 is crossed
+    # with dg bounded away from 0
     cont_events = [_g_floor_event(lambda t: 0.0)] + [ev for ev in events
                                                      if not ev.terminal]
     try:
@@ -444,11 +427,6 @@ def _resolve_vanish(params: Params, res: IntegrationResult, rhs, events,
     term2 = res2.terminal_event
     if term2 is None:
         return at_end(res2), res2
-    dg_scale = max(float(np.max(np.abs(res.y[:, 1]))),
-                   float(np.max(np.abs(res2.y[:, 1]))))
-    kind = classify_vanish(params, term2, dg_scale)
-    if kind is VanishKind.INTERFACE:
-        return Interface(term2.t), res2
     return VerticalSlope(term2.t), res2
 
 
@@ -515,9 +493,10 @@ def shoot_forward(params: Params, a: float, xi_max: float = DEFAULT_XI_MAX,
                   ) -> Tuple[Profile, ShotOutcome]:
     """Integrate from the axis with f(0) = a, f'(0) = slope0 (default 0).
 
-    Records interior extrema, stops on vanishing g (classified interface /
-    vertical slope), on g blowing past G_CEILING (Diverged), or at xi_max
-    (Exhausted).
+    Records interior extrema, stops on vanishing g (Interface where the
+    g-floor state lies on the interface series, VerticalSlope where the
+    continued shot crosses g = 0), on g blowing past G_CEILING (Diverged),
+    or at xi_max (Exhausted).
     """
     if a <= 0.0 or xi_max <= 0.0:
         raise ValueError("need a > 0 and xi_max > 0")
@@ -543,8 +522,10 @@ def shoot_backward(params: Params, xi0: float,
     """Integrate from the interface series seed near xi0 down to 0.
 
     Returns ReachedOrigin(f0, slope) when g stays positive all the way to the
-    axis; otherwise the vanishing is classified as for forward shots (a shot
-    that vanishes again before the axis cannot carry a good profile).
+    axis; otherwise the vanishing is classified as for forward shots:
+    Interface on the series handoff, VerticalSlope where the continued shot
+    crosses g = 0 (a shot that vanishes again before the axis cannot carry a
+    good profile).
 
     The seed is the state of interface_series at delta = eps, its
     seed_distance rounded so that xi0 - eps is a float: the series is the
@@ -636,12 +617,6 @@ class GoodProfile:
     profile: Profile
 
 
-def count_maxima(profile: Profile) -> int:
-    """Number of local maxima of f (interior dg sign changes + -> -, plus a
-    flat concave start at the axis)."""
-    return len(profile.maxima)
-
-
 def _validate_good(params: Params, xi0: float, slope_tol: float,
                    config: Optional[IntegratorConfig]) -> GoodProfile:
     profile, outcome = shoot_backward(params, xi0, config=config,
@@ -652,7 +627,7 @@ def _validate_good(params: Params, xi0: float, slope_tol: float,
     if abs(outcome.slope) >= slope_tol:
         raise SlopeUnreliable(
             f"slope {outcome.slope} at xi0={xi0} above tolerance {slope_tol}")
-    n_max = count_maxima(profile)
+    n_max = len(profile.maxima)
     if n_max < 1:
         raise SlopeUnreliable(f"profile at xi0={xi0} has no maximum")
     m, sigma = params.m, params.sigma
@@ -672,16 +647,16 @@ def _validate_good(params: Params, xi0: float, slope_tol: float,
 
 def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
                        grid_n: int = 33, slope_tol: float = DEFAULT_SLOPE_TOL,
-                       max_depth: int = 60,
                        config: Optional[IntegratorConfig] = None
                        ) -> List[GoodProfile]:
     """Roots of slope_fn in every sign change on a uniform xi0 grid.
 
     Each bracketing grid cell is refined by ITP (_itp_root), one bare
-    backward shot per evaluation.  Every root is then validated by
-    _validate_good on one dense shot at config, which sets the tolerance of
-    the validated root: it must reach the axis with |f'(0)| < slope_tol and
-    have a maximum, none of them below the equilibrium hyperbola.
+    backward shot per evaluation and at most ITP_MAX_DEPTH evaluations.
+    Every root is then validated by _validate_good on one dense shot at
+    config, which sets the tolerance of the validated root: it must reach
+    the axis with |f'(0)| < slope_tol and have a maximum, none of them below
+    the equilibrium hyperbola.
 
     The grid and ITP shots run at the search tolerance
     L = max(config.rel_tol, min(SEARCH_REL_TOL, slope_tol / 100)), whose
@@ -730,7 +705,7 @@ def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
         if s_lo is None or s_hi is None or s_lo * s_hi >= 0.0:
             continue
         root = _itp_root(slope, float(x_lo), float(x_hi), s_lo, s_hi,
-                         slope_tol - margin, max_depth)
+                         slope_tol - margin, ITP_MAX_DEPTH)
         if root is not None:
             roots.append((root, float(x_lo), float(x_hi)))
 
@@ -749,8 +724,7 @@ def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
                 if not margin:
                     raise
                 # L may have misplaced the root: search its cell at config
-                r = _cell_root(params, x_lo, x_hi, slope_tol, max_depth,
-                               config)
+                r = _cell_root(params, x_lo, x_hi, slope_tol, config)
                 if r is not None:
                     out.append(_validate_good(params, r, slope_tol, config))
         except (SlopeUnreliable, IntegrationError) as err:
@@ -759,8 +733,7 @@ def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
 
 
 def _cell_root(params: Params, x_lo: float, x_hi: float, slope_tol: float,
-               max_depth: int, config: Optional[IntegratorConfig]
-               ) -> Optional[float]:
+               config: Optional[IntegratorConfig]) -> Optional[float]:
     """The ITP root of the grid cell [x_lo, x_hi] with every shot at config,
     or None when the slopes at its ends do not change sign there."""
     s_lo = _try_slope(params, x_lo, config)
@@ -768,7 +741,7 @@ def _cell_root(params: Params, x_lo: float, x_hi: float, slope_tol: float,
     if s_lo is None or s_hi is None or s_lo * s_hi >= 0.0:
         return None
     return _itp_root(lambda x: _try_slope(params, x, config), x_lo, x_hi,
-                     s_lo, s_hi, slope_tol, max_depth)
+                     s_lo, s_hi, slope_tol, ITP_MAX_DEPTH)
 
 
 def _try_slope(params: Params, xi0: float,
@@ -845,7 +818,8 @@ def multiplicity_scan(m: float, sigmas: Sequence[float], xi0_hi: float,
     """Good-profile counts per sigma over (0, xi0_hi].
 
     The count is a lower bound (window- and grid-limited).  Rows are sorted
-    by sigma; per-sigma numerical failures and invalid parameters are
+    by sigma; per-sigma numerical failures (an OverflowError among them, as
+    when the interface series overflows a float) and invalid parameters are
     recorded and the scan continues.  Anything else is a bug and propagates.
     """
     rows: List[ScanRow] = []
@@ -859,7 +833,7 @@ def multiplicity_scan(m: float, sigmas: Sequence[float], xi0_hi: float,
                                 xi0s=tuple(gp.xi0 for gp in found),
                                 n_maxs=tuple(gp.n_max for gp in found)))
         except (ValueError, IntegrationError, SlopeUnreliable,
-                FloatingPointError) as err:
+                OverflowError) as err:
             rows.append(ScanRow(sigma=float(sigma), count=0, xi0s=(),
                                 n_maxs=(), error=str(err)))
     return rows

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from blowup.cli import _csv, _float_csv, main
-from blowup.model import Params, Profile, ForwardShot, integral_identity_residual
+from blowup.cli import _csv, _float_csv, _outcome_dict, main
+from blowup.integrate import IntegratorConfig
+from blowup.model import (Params, Profile, ForwardShot, explicit_profile_F0,
+                          integral_identity_residual)
 from blowup.shooting import shoot_backward, shoot_forward
 
 
@@ -115,6 +117,22 @@ class TestProfileCommand:
         assert meta["outcome"]["kind"] == "exhausted"
         assert len(meta["samples"]["xi"]) == len(meta["samples"]["g"])
 
+    def test_tolerance_flags(self, tmp_path):
+        # --rel-tol and --abs-tol reach the shot: the sigma = 0 interface
+        # moves with them (2 pi + 1.4e-8 at the defaults, + 7.9e-11 here)
+        a = explicit_profile_F0(2.0, 0.0)
+        out = tmp_path / "p.json"
+        assert run(["profile", "--m", "2", "--sigma", "0", "--a", repr(a),
+                    "--xi-max", "16", "--format", "json", "--rel-tol",
+                    "1e-12", "--abs-tol", "1e-14", "--out", str(out)]) == 0
+        _, outcome = shoot_forward(
+            Params(2.0, 0.0), a, xi_max=16.0,
+            config=IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
+        _, default = shoot_forward(Params(2.0, 0.0), a, xi_max=16.0)
+        got = json.loads(out.read_text())["outcome"]
+        assert got == _outcome_dict(outcome)
+        assert got != _outcome_dict(default)
+
     def test_exclusive_a_xi0(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(["profile", "--m", "2", "--sigma", "0", "--a", "1",
@@ -206,6 +224,14 @@ class TestUsageErrors:
         # valid parameters at which the seed distance rounds to 0
         out = tmp_path / "b.csv"
         assert run(["profile", "--m", "2", "--sigma", "16", "--xi0", "100",
+                    "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_series_overflow_is_numerical(self, tmp_path, capsys):
+        # valid parameters at which the interface series overflows a float
+        out = tmp_path / "b.csv"
+        assert run(["profile", "--m", "2", "--sigma", "200", "--xi0", "100",
                     "--out", str(out)]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()

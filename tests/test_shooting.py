@@ -12,12 +12,12 @@ from blowup.model import (Params, explicit_interface_F0,
                           explicit_profile_F0, g_field)
 from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, HANDOFF_TOL,
                              SERIES_ORDER, Exhausted, Interface, ReachedOrigin,
-                             SeedUnderflow, VanishKind, VerticalSlope, _itp_root, _validate_good,
-                             classify_vanish, count_maxima,
-                             find_good_profiles, interface_series,
-                             multiplicity_scan, nonexistence_gap,
-                             profile_rhs, series_constant, series_exponent,
-                             shoot_backward, shoot_forward, slope_fn)
+                             SeedUnderflow, VerticalSlope, _itp_root,
+                             _validate_good, find_good_profiles,
+                             interface_series, multiplicity_scan,
+                             nonexistence_gap, profile_rhs, series_constant,
+                             series_exponent, shoot_backward, shoot_forward,
+                             slope_fn)
 
 P20 = Params(m=2.0, sigma=0.0)
 P201 = Params(m=2.0, sigma=0.1)
@@ -211,13 +211,13 @@ class TestForwardShot:
         assert out.xi0 == pytest.approx(2.0 * np.pi, abs=1e-5)
         assert prof.interface == out.xi0
         assert prof.maxima == (0.0,)
-        assert count_maxima(prof) == 1
+        assert len(prof.maxima) == 1
 
     def test_sigma0_constant_solution(self):
         prof, out = shoot_forward(P20, 1.0, xi_max=10.0)
         assert isinstance(out, Exhausted)
         assert np.max(np.abs(prof.g - 1.0)) < 1e-9
-        assert count_maxima(prof) == 0
+        assert len(prof.maxima) == 0
 
     def test_sigma_half_vertical_slope(self):
         prof, out = shoot_forward(Params(2.0, 0.5), 3.0, xi_max=50.0)
@@ -308,7 +308,7 @@ class TestBackwardShot:
         assert isinstance(out, ReachedOrigin)
         assert out.f0 == pytest.approx(4.0 / 3.0, abs=1e-4)
         assert out.slope == pytest.approx(0.0, abs=1e-4)
-        assert count_maxima(prof) == 1
+        assert len(prof.maxima) == 1
         assert prof.maxima == (0.0,)
 
     def test_interface_annotations(self):
@@ -356,23 +356,6 @@ class TestBackwardShot:
         prof, out = shoot_backward(P201, 12.0, dense_dx=None)
         assert isinstance(out, ReachedOrigin)
         assert len(prof.xi) - 1 <= 100
-
-
-class TestClassifyVanish:
-    def test_interface_record(self):
-        rec = EventRecord(EventKind.GZERO, 5.0, np.array([0.0, 1e-9]))
-        assert classify_vanish(Params(2.0, 0.5), rec, dg_scale=1.0) \
-            is VanishKind.INTERFACE
-
-    def test_vertical_record(self):
-        rec = EventRecord(EventKind.GZERO, 5.0, np.array([0.0, -0.3]))
-        assert classify_vanish(Params(2.0, 0.5), rec, dg_scale=1.0) \
-            is VanishKind.VERTICAL_SLOPE
-
-    def test_wrong_kind_rejected(self):
-        rec = EventRecord(EventKind.DG_ZERO, 5.0, np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            classify_vanish(Params(2.0, 0.5), rec, dg_scale=1.0)
 
 
 class TestSlopeFn:
@@ -694,6 +677,15 @@ class TestMultiplicityScan:
                                      grid_dx=2.5)
         assert rows[0].error is None and rows[0].count == 0
 
+    def test_series_overflow_recorded(self):
+        # at sigma = 200 the weight's Taylor coefficients xi0^(sigma - j)
+        # overflow a float near xi0 = 100: an error row, not a raise
+        rows = multiplicity_scan(2.0, [200.0], 100.0, xi0_lo=95.0,
+                                 grid_dx=2.5)
+        with pytest.raises(OverflowError) as err:
+            interface_series(Params(2.0, 200.0), 95.0)
+        assert rows[0].count == 0 and rows[0].error == str(err.value)
+
     def test_programming_error_propagates(self):
         # only numerical failures and invalid parameters become error rows
         with pytest.raises(TypeError):
@@ -732,17 +724,17 @@ class TestNonexistenceGap:
 class TestCountMaxima:
     def test_explicit_profile(self):
         prof, _ = shoot_forward(P20, 4.0 / 3.0, xi_max=20.0)
-        assert count_maxima(prof) == 1
+        assert len(prof.maxima) == 1
 
     def test_constant_profile(self):
         prof, _ = shoot_forward(P20, 1.0, xi_max=10.0)
-        assert count_maxima(prof) == 0
+        assert len(prof.maxima) == 0
 
     def test_oscillating_profile(self):
         # the root near 15.39 carries two maxima and one interior minimum
         prof, out = shoot_backward(P201, 15.3854)
         assert isinstance(out, ReachedOrigin)
-        assert count_maxima(prof) == 2
+        assert len(prof.maxima) == 2
         assert len(prof.minima) >= 1
 
 
