@@ -17,7 +17,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis, model, phase, shooting
-from .integrate import IntegratorConfig
 from .model import Params
 
 __all__ = ["CheckResult", "CHECKS", "run_acceptance", "EXPECTED_FAILURES"]
@@ -105,12 +104,12 @@ def _check_4_nonexistence_gap(seed: int) -> Tuple[bool, str]:
 
     # sign-only scan: single shots at the search tolerance (slopes are
     # O(1e-2..0.4) here, far above the integration noise this admits)
-    cfg = IntegratorConfig(rel_tol=shooting.SEARCH_REL_TOL)
     xs = np.linspace(0.1, 20.0, 201)
     n_pos = 0
     n_bad = 0
     for x in xs:
-        _, out = shooting.shoot_backward(params, float(x), config=cfg,
+        _, out = shooting.shoot_backward(params, float(x),
+                                         rel_tol=shooting.SEARCH_REL_TOL,
                                          dense_dx=None, track_events=False)
         if not isinstance(out, shooting.ReachedOrigin):
             n_bad += 1

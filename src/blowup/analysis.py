@@ -14,13 +14,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .integrate import (Event, EventKind, IntegratorConfig,
-                        IntegrationError, integrate, off_level)
+from .integrate import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Event, EventKind,
+                        IntegratorConfig, IntegrationError, integrate,
+                        off_level)
 from .model import Params
 from .phase import (PhaseState, Z_DIVERGENCE_BOUND, critical_points,
                     cylinder_value, from_phase, main_rhs,
                     p2_outgoing_eigenvector)
-from .shooting import (ReachedOrigin, shoot_backward, shoot_forward)
+from .shooting import (ReachedOrigin, nonexistence_gap, shoot_backward,
+                       shoot_forward)
 
 __all__ = [
     "OrbitReport",
@@ -75,16 +77,17 @@ def _norm_bound_event(bound: float) -> Event:
 
 
 def integrate_orbit(params: Params, start: PhaseState, eta_max: float,
-                    config: Optional[IntegratorConfig] = None) -> OrbitReport:
+                    rel_tol: float = DEFAULT_REL_TOL,
+                    abs_tol: float = DEFAULT_ABS_TOL) -> OrbitReport:
     """Integrate the main system from start, tracking the cylinder sign.
 
     Stops when the state norm passes ORBIT_BOUND or at eta_max.  The terminal
     classification is the nearest finite catalog point within
     NEIGHBORHOOD_RADIUS, a divergence direction, or "interior".
     """
-    cfg = config or IntegratorConfig()
     res = integrate(main_rhs(params), start.as_array(), (0.0, eta_max),
-                    events=(_norm_bound_event(ORBIT_BOUND),), config=cfg)
+                    events=(_norm_bound_event(ORBIT_BOUND),),
+                    config=IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol))
     states = res.y
     cyl = (states[:, 1] ** 2 - 2.0 / (params.m + 1.0)
            + states[:, 2] / params.m)
@@ -111,9 +114,7 @@ def integrate_orbit(params: Params, start: PhaseState, eta_max: float,
 
 
 def cylinder_invariance_check(params: Params, start: PhaseState,
-                              eta_max: float,
-                              config: Optional[IntegratorConfig] = None
-                              ) -> Optional[bool]:
+                              eta_max: float) -> Optional[bool]:
     """True iff an orbit started outside the cylinder never re-enters it
     (cylinder_value > -CYLINDER_TOL along the whole computed orbit).
 
@@ -122,19 +123,17 @@ def cylinder_invariance_check(params: Params, start: PhaseState,
     if cylinder_value(params, start) <= 0.0:
         raise ValueError("start must lie strictly outside the cylinder")
     try:
-        report = integrate_orbit(params, start, eta_max, config=config)
+        report = integrate_orbit(params, start, eta_max)
     except IntegrationError:
         return None
     return bool(np.min(report.cylinder_values) > -CYLINDER_TOL)
 
 
-def interface_origin_check(params: Params, xi0: float,
-                           config: Optional[IntegratorConfig] = None) -> bool:
+def interface_origin_check(params: Params, xi0: float) -> bool:
     """True iff the backward shot from xi0 reaches the axis with f(0) > 0."""
     if xi0 <= 0.0:
         raise ValueError("xi0 must be > 0")
-    _, outcome = shoot_backward(params, xi0, config=config, dense_dx=None,
-                                track_events=False)
+    _, outcome = shoot_backward(params, xi0, dense_dx=None, track_events=False)
     return isinstance(outcome, ReachedOrigin) and outcome.f0 > 0.0
 
 
@@ -205,8 +204,7 @@ def monotone_exclusion_check(params: Params, a1: float,
 # the two gap bounds, checked on actual orbits
 # --------------------------------------------------------------------------
 
-def p2_orbit_profile(params: Params, delta: float = 1e-6,
-                     config: Optional[IntegratorConfig] = None
+def p2_orbit_profile(params: Params, delta: float = 1e-6
                      ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Profile samples (xi, f) on the unique orbit leaving P2 into Z > 0,
     up to its first crossing of the plane Z = 1/m (by eta = P2_ETA_MAX, else
@@ -228,9 +226,8 @@ def p2_orbit_profile(params: Params, delta: float = 1e-6,
     level = 1.0 / m
     cross = Event(EventKind.HYP_PHI_MAX_CROSS, lambda t, y: y[2] - level,
                   direction=+1, terminal=True, one_sign=off_level(2, level))
-    cfg = config or IntegratorConfig()
     res = integrate(main_rhs(params), start, (0.0, P2_ETA_MAX),
-                    events=(cross,), config=cfg)
+                    events=(cross,))
     if res.terminal_event is None:
         raise IntegrationError("P2 orbit did not reach Z = 1/m "
                                f"within eta_max={P2_ETA_MAX}")
@@ -252,7 +249,6 @@ def p2_lower_bound_check(params: Params) -> Tuple[bool, float]:
     to BOUND_TOL, and that crossing happens at xi <= xi_plus.  Returns
     (ok, xi_cross).
     """
-    from .shooting import nonexistence_gap
     m = params.m
     xi, f, xi_cross = p2_orbit_profile(params)
     c = (m - 1.0) / (2.0 * m) * np.sqrt((2.0 * m + 1.0) / (m * (m + 1.0)))
@@ -271,7 +267,6 @@ def backward_crossing_bound_check(params: Params, xi0: float
 
     Returns (ok, xi_last_crossing).
     """
-    from .shooting import nonexistence_gap
     m, sigma = params.m, params.sigma
     profile, _ = shoot_backward(params, xi0, dense_dx=0.01,
                                 track_events=False)

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__, acceptance, phase, shooting
-from .integrate import IntegratorConfig, IntegrationError
+from .integrate import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, IntegrationError
 from .model import Params, integral_identity_residual
 from .shooting import (Diverged, Interface, ReachedOrigin, ShotOutcome,
                        SlopeUnreliable, VerticalSlope)
@@ -80,15 +80,6 @@ def _sidecar(path: Path) -> Path:
         else path.with_suffix(".meta.json")
 
 
-def _config(args) -> IntegratorConfig:
-    kwargs = {}
-    if getattr(args, "rel_tol", None) is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if getattr(args, "abs_tol", None) is not None:
-        kwargs["abs_tol"] = args.abs_tol
-    return IntegratorConfig(**kwargs)
-
-
 def _outcome_dict(outcome: ShotOutcome) -> dict:
     if isinstance(outcome, Interface):
         return {"kind": "interface", "xi0": outcome.xi0}
@@ -109,13 +100,13 @@ def cmd_profile(args) -> int:
         raise UsageError("--abs-tol applies to forward shots only: backward "
                          "shots set their absolute tolerances from the "
                          "interface series")
-    cfg = _config(args)
     if args.a is not None:
         profile, outcome = shooting.shoot_forward(
-            params, args.a, xi_max=args.xi_max, config=cfg)
+            params, args.a, xi_max=args.xi_max, rel_tol=args.rel_tol,
+            abs_tol=DEFAULT_ABS_TOL if args.abs_tol is None else args.abs_tol)
     else:
         profile, outcome = shooting.shoot_backward(
-            params, args.xi0, config=cfg)
+            params, args.xi0, rel_tol=args.rel_tol)
 
     residual = None
     if profile.xi[0] <= 1e-12:
@@ -154,7 +145,7 @@ def cmd_profile(args) -> int:
 def cmd_scan(args) -> int:
     rows = shooting.multiplicity_scan(
         args.m, args.sigma, args.xi0_max, grid_dx=args.grid_dx,
-        config=_config(args))
+        rel_tol=args.rel_tol)
     meta = {
         "schema": SCHEMA,
         "command": "scan",
@@ -189,8 +180,10 @@ def cmd_phase(args) -> int:
     except ValueError:
         raise UsageError("--start must be X,Y,Z")
     from .analysis import integrate_orbit
+    abs_tol = DEFAULT_ABS_TOL if args.abs_tol is None else args.abs_tol
     report = integrate_orbit(params, phase.PhaseState(x, y, z),
-                             eta_max=args.eta_max, config=_config(args))
+                             eta_max=args.eta_max, rel_tol=args.rel_tol,
+                             abs_tol=abs_tol)
     table = np.column_stack([report.eta, report.states,
                              report.cylinder_values])
     meta = {
@@ -278,11 +271,12 @@ def _add_common(p: argparse.ArgumentParser, sigma_list: bool = False) -> None:
 
 
 def _add_integration(p: argparse.ArgumentParser, abs_tol: bool = True) -> None:
-    # scan runs backward shots only, which set their own absolute tolerances
+    # scan runs backward shots only, which set their own absolute tolerances;
+    # --abs-tol defaults to None so that profile --xi0 can tell it was given
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     if abs_tol:
-        p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
+        p.add_argument("--abs-tol", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

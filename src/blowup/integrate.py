@@ -92,6 +92,10 @@ EVENT_SAMPLES = 8
 EVENT_TOL = 1e-12
 #: integrate raises MaxStepsExceeded after this many accepted steps
 MAX_STEPS = 10_000_000
+#: default relative tolerance of integrate and of every shot, search and orbit
+DEFAULT_REL_TOL = 1e-10
+#: default absolute tolerance of integrate, forward shots and orbits
+DEFAULT_ABS_TOL = 1e-12
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10),
 # nonzero entries only, 1-based as in Hairer's DOP853: stage i is
@@ -316,14 +320,15 @@ class EventRecord:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    rel_tol: float = 1e-10
-    abs_tol: Union[float, np.ndarray] = 1e-12
+    rel_tol: float = DEFAULT_REL_TOL
+    abs_tol: Union[float, np.ndarray] = DEFAULT_ABS_TOL
     first_step: Optional[float] = None
     dense_dx: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or np.any(np.asarray(self.abs_tol) <= 0):
-            raise ValueError("tolerances must be positive")
+        tols = np.append(self.abs_tol, self.rel_tol)
+        if not np.all((0.0 < tols) & (tols < np.inf)):  # NaN fails both
+            raise ValueError("tolerances must be finite and positive")
         if self.dense_dx and not self.dense_dx > 0:   # 0 or None: no samples
             raise ValueError("dense_dx must be positive")
 

@@ -31,8 +31,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .integrate import (Event, EventKind, IntegratorConfig, IntegrationResult,
-                        integrate, off_level)
+from .integrate import (Event, EventKind, IntegrationResult, integrate,
+                        off_level)
 from .model import Params
 
 __all__ = [
@@ -432,7 +432,6 @@ class SpiralDiagnostic:
 
 
 def p3_spiral_diagnostic(params: Params, start: PhaseState, turns: int,
-                         config: Optional[IntegratorConfig] = None,
                          full: bool = False):
     """Distances r_k to P3 at successive returns to the section {Y=0, Z>1}.
 
@@ -448,7 +447,6 @@ def p3_spiral_diagnostic(params: Params, start: PhaseState, turns: int,
     """
     if turns < 2:
         raise ValueError("need at least 2 returns to diagnose growth")
-    cfg = config or IntegratorConfig()
 
     def inside_or_beyond_exit(t_a, t_b, boxes):
         lo, hi = boxes[1]
@@ -478,7 +476,7 @@ def p3_spiral_diagnostic(params: Params, start: PhaseState, turns: int,
     while eta < SPIRAL_ETA_MAX:
         span = min(chunk, SPIRAL_ETA_MAX - eta)
         res = integrate(main_rhs(params), y, (eta, eta + span),
-                        events=(section, exit_ev, z_guard), config=cfg)
+                        events=(section, exit_ev, z_guard))
         for rec in res.events:
             if rec.kind is EventKind.SECTION_CROSS and rec.y[2] > 1.0:
                 radii.append(float(rec.y[2] - 1.0))

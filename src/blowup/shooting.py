@@ -33,14 +33,14 @@ caller's tolerance, which supplies every reported number.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .integrate import (Event, EventKind, EventRecord, IntegrationError,
-                        IntegratorConfig, IntegrationResult, integrate,
-                        off_level)
+from .integrate import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Event, EventKind,
+                        EventRecord, IntegrationError, IntegratorConfig,
+                        IntegrationResult, integrate, off_level)
 from .model import (BackwardShot, ForwardShot, Params, Profile,
                     explicit_interface_F0, g_field,
                     integral_identity_residual, rhs_g)
@@ -55,6 +55,7 @@ __all__ = [
     "GoodProfile",
     "SlopeUnreliable",
     "SeedUnderflow",
+    "SeriesOverflow",
     "series_constant",
     "series_exponent",
     "InterfaceSeries",
@@ -141,6 +142,10 @@ class SlopeUnreliable(RuntimeError):
 class SeedUnderflow(SlopeUnreliable, ValueError):
     """The interface series' seed distance rounds to 0 at xi0: no backward
     shot can start there."""
+
+
+class SeriesOverflow(SlopeUnreliable, OverflowError):
+    """The interface series at xi0 overflows a float."""
 
 
 # --------------------------------------------------------------------------
@@ -486,8 +491,8 @@ def _shoot(params: Params, provenance: Union[ForwardShot, BackwardShot],
 
 
 def shoot_forward(params: Params, a: float, xi_max: float = DEFAULT_XI_MAX,
-                  slope0: float = 0.0,
-                  config: Optional[IntegratorConfig] = None,
+                  slope0: float = 0.0, rel_tol: float = DEFAULT_REL_TOL,
+                  abs_tol: float = DEFAULT_ABS_TOL,
                   dense_dx: Optional[float] = PROFILE_DENSE_DX,
                   track_events: bool = True
                   ) -> Tuple[Profile, ShotOutcome]:
@@ -503,11 +508,9 @@ def shoot_forward(params: Params, a: float, xi_max: float = DEFAULT_XI_MAX,
     m, sigma = params.m, params.sigma
     g0 = a ** m
     dg0 = m * a ** (m - 1.0) * slope0
-    cfg = config or IntegratorConfig()
-    if 0.0 < sigma < 1.0 and cfg.first_step is None:
-        # the weight xi^sigma is only Hoelder at 0; cap the first step
-        cfg = replace(cfg, first_step=1e-6)
-    cfg = replace(cfg, dense_dx=dense_dx)
+    # the weight xi^sigma is only Hoelder at 0; cap the first step
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, dense_dx=dense_dx,
+                           first_step=1e-6 if 0.0 < sigma < 1.0 else None)
 
     return _shoot(params, ForwardShot(a, slope0), [g0, dg0], (0.0, xi_max),
                   g0, cfg, track_events, lambda res: Exhausted(xi_max),
@@ -515,11 +518,11 @@ def shoot_forward(params: Params, a: float, xi_max: float = DEFAULT_XI_MAX,
 
 
 def shoot_backward(params: Params, xi0: float,
-                   config: Optional[IntegratorConfig] = None,
+                   rel_tol: float = DEFAULT_REL_TOL,
                    dense_dx: Optional[float] = PROFILE_DENSE_DX,
                    track_events: bool = True
                    ) -> Tuple[Profile, ShotOutcome]:
-    """Integrate from the interface series seed near xi0 down to 0.
+    """Integrate from the interface series seed near xi0 down to 0 at rel_tol.
 
     Returns ReachedOrigin(f0, slope) when g stays positive all the way to the
     axis; otherwise the vanishing is classified as for forward shots:
@@ -532,9 +535,10 @@ def shoot_backward(params: Params, xi0: float,
     exact local solution to rounding up to there, so it carries the shot
     through the interface layer, where on g ~ delta^p the stepper would take
     about 16 steps per decade of delta.  SeedUnderflow is raised when eps
-    rounds to 0.  With dense samples (from dense_dx; config.dense_dx is not
-    read) the span from the seed to xi0 - EPS_REL xi0, where dense profiles
-    end, is filled with series samples on the dense_dx grid.
+    rounds to 0, SeriesOverflow when the series overflows a float.  With
+    dense samples (from dense_dx) the span from the seed to xi0 - EPS_REL xi0,
+    where dense profiles end, is filled with series samples on the dense_dx
+    grid.
 
     The absolute tolerances are 1e-8 times the series state at
     delta = min(eps, EPS_REL xi0): errors committed while g ~ (C delta)^p
@@ -544,17 +548,21 @@ def shoot_backward(params: Params, xi0: float,
     are controlled as tightly as those of a shot seeded at EPS_REL xi0;
     scaled to the seed, they would admit errors of 1e-8 relative there.
     """
-    series = interface_series(params, xi0)
+    try:
+        series = interface_series(params, xi0)
+    except OverflowError as err:
+        raise SeriesOverflow(f"interface series at xi0={xi0}: {err}") from err
     xi_seed = xi0 - series.seed_distance()
     eps = xi0 - xi_seed  # the seed state sits at the float xi_seed exactly
     if not 0.0 < eps < xi0:
         raise SeedUnderflow(f"the seed distance at xi0={xi0} rounds to {eps}")
     g0, dg0 = series.state(eps)
     g_tol, dg_tol = series.state(min(eps, EPS_REL * xi0))
-    cfg = config or IntegratorConfig()
+    if not np.all(np.isfinite((g0, dg0, g_tol, dg_tol))):  # sums overflowed
+        raise SeriesOverflow(f"interface series at xi0={xi0}: not finite")
     abs_tol = np.array([max(1e-8 * g_tol, 1e-300),
                         max(1e-8 * abs(dg_tol), 1e-300)])
-    cfg = replace(cfg, abs_tol=abs_tol, dense_dx=dense_dx)
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, dense_dx=dense_dx)
     head = _series_samples(series, xi_seed, dense_dx) if dense_dx else None
 
     def at_axis(res: IntegrationResult) -> ShotOutcome:
@@ -584,15 +592,15 @@ def _series_samples(series: InterfaceSeries, xi_seed: float, dx: float
 
 
 def slope_fn(params: Params, xi0: float,
-             config: Optional[IntegratorConfig] = None) -> float:
-    """f'(0) of one bare backward shot from xi0 (shoot_backward with no
-    dense samples and no extremum events).
+             rel_tol: float = DEFAULT_REL_TOL) -> float:
+    """f'(0) of one bare backward shot from xi0 at rel_tol (shoot_backward
+    with no dense samples and no extremum events).
 
     It is the slope of the dense, event-tracking shot from xi0, bit for bit:
     neither changes the accepted steps.  SlopeUnreliable is raised when the
     shot does not reach the axis.
     """
-    _, outcome = shoot_backward(params, xi0, config=config, dense_dx=None,
+    _, outcome = shoot_backward(params, xi0, rel_tol=rel_tol, dense_dx=None,
                                 track_events=False)
     if not isinstance(outcome, ReachedOrigin):
         raise SlopeUnreliable(
@@ -618,8 +626,8 @@ class GoodProfile:
 
 
 def _validate_good(params: Params, xi0: float, slope_tol: float,
-                   config: Optional[IntegratorConfig]) -> GoodProfile:
-    profile, outcome = shoot_backward(params, xi0, config=config,
+                   rel_tol: float) -> GoodProfile:
+    profile, outcome = shoot_backward(params, xi0, rel_tol=rel_tol,
                                       dense_dx=PROFILE_DENSE_DX,
                                       track_events=True)
     if not isinstance(outcome, ReachedOrigin):
@@ -647,49 +655,49 @@ def _validate_good(params: Params, xi0: float, slope_tol: float,
 
 def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
                        grid_n: int = 33, slope_tol: float = DEFAULT_SLOPE_TOL,
-                       config: Optional[IntegratorConfig] = None
-                       ) -> List[GoodProfile]:
+                       rel_tol: float = DEFAULT_REL_TOL) -> List[GoodProfile]:
     """Roots of slope_fn in every sign change on a uniform xi0 grid.
 
     Each bracketing grid cell is refined by ITP (_itp_root), one bare
     backward shot per evaluation and at most ITP_MAX_DEPTH evaluations.
     Every root is then validated by _validate_good on one dense shot at
-    config, which sets the tolerance of the validated root: it must reach
+    rel_tol, which sets the tolerance of the validated root: it must reach
     the axis with |f'(0)| < slope_tol and have a maximum, none of them below
     the equilibrium hyperbola.
 
     The grid and ITP shots run at the search tolerance
-    L = max(config.rel_tol, min(SEARCH_REL_TOL, slope_tol / 100)), whose
+    L = max(rel_tol, min(SEARCH_REL_TOL, slope_tol / 100)), whose
     slope error was at most 6.3 L (1 + |f'(0)|) where it was measured (near
     xi0 = 74 at sigma = 0.1; below 1 L on smaller xi0).  When L is looser
-    than config, ITP stops at |f'(0)| < slope_tol - 10 L, and config decides
+    than rel_tol, ITP stops at |f'(0)| < slope_tol - 10 L, and rel_tol decides
     what L cannot: a grid slope within 10 L (1 + |f'(0)|) of zero or
     unreliable at L, an ITP evaluation unreliable at L, and the cell of a
-    root that fails validation (as when the shot at config misses the axis
+    root that fails validation (as when the shot at rel_tol misses the axis
     or slope_tol), which is searched again.  Unreliable slope evaluations
     are dropped and failed roots discarded, each with a warning; roots
-    closer than 1e-6 are deduplicated keeping the lower xi0.
+    closer than 1e-6 are deduplicated keeping the lower xi0.  A bad rel_tol
+    raises ValueError before the first shot.
     """
     if not 0.0 < xi0_lo < xi0_hi:
         raise ValueError("need 0 < xi0_lo < xi0_hi")
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
 
-    tight = config or IntegratorConfig()
-    search_tol = max(tight.rel_tol, min(SEARCH_REL_TOL, slope_tol / 100.0))
-    margin = 10.0 * search_tol if search_tol > tight.rel_tol else 0.0
-    loose = replace(tight, rel_tol=search_tol) if margin else config
+    # reject a bad rel_tol before max() makes it a valid search tolerance
+    IntegratorConfig(rel_tol=rel_tol)
+    search_tol = max(rel_tol, min(SEARCH_REL_TOL, slope_tol / 100.0))
+    margin = 10.0 * search_tol if search_tol > rel_tol else 0.0
 
     def slope(x: float) -> Optional[float]:
-        s = _try_slope(params, x, loose)
+        s = _try_slope(params, x, search_tol)
         if s is None and margin:
-            s = _try_slope(params, x, config)
+            s = _try_slope(params, x, rel_tol)
         return s
 
     def grid_slope(x: float) -> Optional[float]:
-        s = _try_slope(params, x, loose)
+        s = _try_slope(params, x, search_tol)
         if margin and (s is None or abs(s) <= margin * (1.0 + abs(s))):
-            s = _try_slope(params, x, config)
+            s = _try_slope(params, x, rel_tol)
         return s
 
     grid = np.linspace(xi0_lo, xi0_hi, grid_n)
@@ -719,35 +727,34 @@ def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
     for r, x_lo, x_hi in deduped:
         try:
             try:
-                out.append(_validate_good(params, r, slope_tol, config))
+                out.append(_validate_good(params, r, slope_tol, rel_tol))
             except (SlopeUnreliable, IntegrationError):
                 if not margin:
                     raise
-                # L may have misplaced the root: search its cell at config
-                r = _cell_root(params, x_lo, x_hi, slope_tol, config)
+                # L may have misplaced the root: search its cell at rel_tol
+                r = _cell_root(params, x_lo, x_hi, slope_tol, rel_tol)
                 if r is not None:
-                    out.append(_validate_good(params, r, slope_tol, config))
+                    out.append(_validate_good(params, r, slope_tol, rel_tol))
         except (SlopeUnreliable, IntegrationError) as err:
             warnings.warn(f"discarding root at xi0={r}: {err}")
     return out
 
 
 def _cell_root(params: Params, x_lo: float, x_hi: float, slope_tol: float,
-               config: Optional[IntegratorConfig]) -> Optional[float]:
-    """The ITP root of the grid cell [x_lo, x_hi] with every shot at config,
-    or None when the slopes at its ends do not change sign there."""
-    s_lo = _try_slope(params, x_lo, config)
-    s_hi = _try_slope(params, x_hi, config)
+               rel_tol: float) -> Optional[float]:
+    """The ITP root of the grid cell [x_lo, x_hi] with every shot at
+    rel_tol, or None when the slopes at its ends do not change sign there."""
+    s_lo = _try_slope(params, x_lo, rel_tol)
+    s_hi = _try_slope(params, x_hi, rel_tol)
     if s_lo is None or s_hi is None or s_lo * s_hi >= 0.0:
         return None
-    return _itp_root(lambda x: _try_slope(params, x, config), x_lo, x_hi,
+    return _itp_root(lambda x: _try_slope(params, x, rel_tol), x_lo, x_hi,
                      s_lo, s_hi, slope_tol, ITP_MAX_DEPTH)
 
 
-def _try_slope(params: Params, xi0: float,
-               config: Optional[IntegratorConfig]) -> Optional[float]:
+def _try_slope(params: Params, xi0: float, rel_tol: float) -> Optional[float]:
     try:
-        return slope_fn(params, xi0, config=config)
+        return slope_fn(params, xi0, rel_tol=rel_tol)
     except (SlopeUnreliable, IntegrationError):
         return None
 
@@ -813,22 +820,22 @@ class ScanRow:
 def multiplicity_scan(m: float, sigmas: Sequence[float], xi0_hi: float,
                       xi0_lo: float = 0.05, grid_dx: float = 0.5,
                       slope_tol: float = DEFAULT_SLOPE_TOL,
-                      config: Optional[IntegratorConfig] = None
-                      ) -> List[ScanRow]:
-    """Good-profile counts per sigma over (0, xi0_hi].
+                      rel_tol: float = DEFAULT_REL_TOL) -> List[ScanRow]:
+    """Good-profile counts per sigma over (0, xi0_hi], searched at rel_tol.
 
     The count is a lower bound (window- and grid-limited).  Rows are sorted
-    by sigma; per-sigma numerical failures (an OverflowError among them, as
-    when the interface series overflows a float) and invalid parameters are
-    recorded and the scan continues.  Anything else is a bug and propagates.
+    by sigma; per-sigma numerical failures and invalid parameters are
+    recorded and the scan continues, but a bad rel_tol raises ValueError.
+    Anything else is a bug and propagates.
     """
+    IntegratorConfig(rel_tol=rel_tol)  # raise here, not once per sigma row
     rows: List[ScanRow] = []
     for sigma in sorted(sigmas):
         try:
             params = Params(m=m, sigma=float(sigma))
             grid_n = max(9, int(np.ceil((xi0_hi - xi0_lo) / grid_dx)) + 1)
             found = find_good_profiles(params, xi0_lo, xi0_hi, grid_n=grid_n,
-                                       slope_tol=slope_tol, config=config)
+                                       slope_tol=slope_tol, rel_tol=rel_tol)
             rows.append(ScanRow(sigma=float(sigma), count=len(found),
                                 xi0s=tuple(gp.xi0 for gp in found),
                                 n_maxs=tuple(gp.n_max for gp in found)))

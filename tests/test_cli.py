@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from blowup.cli import _csv, _float_csv, _outcome_dict, main
-from blowup.integrate import IntegratorConfig
 from blowup.model import (Params, Profile, ForwardShot, explicit_profile_F0,
                           integral_identity_residual)
 from blowup.shooting import shoot_backward, shoot_forward
@@ -126,8 +125,7 @@ class TestProfileCommand:
                     "--xi-max", "16", "--format", "json", "--rel-tol",
                     "1e-12", "--abs-tol", "1e-14", "--out", str(out)]) == 0
         _, outcome = shoot_forward(
-            Params(2.0, 0.0), a, xi_max=16.0,
-            config=IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
+            Params(2.0, 0.0), a, xi_max=16.0, rel_tol=1e-12, abs_tol=1e-14)
         _, default = shoot_forward(Params(2.0, 0.0), a, xi_max=16.0)
         got = json.loads(out.read_text())["outcome"]
         assert got == _outcome_dict(outcome)
@@ -251,6 +249,22 @@ class TestUsageErrors:
             run(argv)
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--m", "2", "--sigma", "0.1", "--xi0-max", "12",
+         "--rel-tol", "nan"],
+        ["profile", "--m", "2", "--sigma", "0", "--a", "1.3333333333",
+         "--rel-tol", "nan"],
+        ["profile", "--m", "2", "--sigma", "0.1", "--xi0", "12",
+         "--rel-tol", "inf"],
+        ["phase", "--m", "2", "--sigma", "1", "--start", "0.05,0.01,1.01",
+         "--abs-tol", "nan"],
+    ])
+    def test_non_finite_tolerance(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_backward_profile_abs_tol(self, tmp_path, capsys):
         out = tmp_path / "b.csv"

@@ -768,10 +768,14 @@ class TestRhsCount:
 
 class TestConfigValidation:
     def test_bad_tolerances(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(abs_tol=0.0)  # a zero scale on a zero state
+        # 0 for abs_tol: a zero scale on a zero state
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                IntegratorConfig(rel_tol=bad)
+            with pytest.raises(ValueError):
+                IntegratorConfig(abs_tol=bad)
+            with pytest.raises(ValueError):
+                IntegratorConfig(abs_tol=np.array([1e-12, bad]))
 
     def test_bad_dense_dx(self):
         # a grid running away from the step end would never reach it

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blowup import shooting
-from blowup.integrate import (EventKind, EventRecord, IntegrationResult,
-                              IntegratorConfig, integrate)
+from blowup import analysis, shooting
+from blowup.integrate import (DEFAULT_REL_TOL, EventKind, EventRecord,
+                              IntegrationResult, IntegratorConfig, integrate)
 from blowup.model import (Params, explicit_interface_F0,
                           explicit_profile_F0, g_field)
+from blowup.phase import PhaseState
 from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, HANDOFF_TOL,
                              SERIES_ORDER, Exhausted, Interface, ReachedOrigin,
-                             SeedUnderflow, VerticalSlope, _itp_root,
-                             _validate_good, find_good_profiles,
+                             SeedUnderflow, SeriesOverflow, VerticalSlope,
+                             _itp_root, _validate_good, find_good_profiles,
                              interface_series, multiplicity_scan,
                              nonexistence_gap, profile_rhs, series_constant,
                              series_exponent, shoot_backward, shoot_forward,
@@ -21,7 +22,7 @@ from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, HANDOFF_TOL,
 
 P20 = Params(m=2.0, sigma=0.0)
 P201 = Params(m=2.0, sigma=0.1)
-TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+TIGHT = dict(rel_tol=1e-12, abs_tol=1e-14)
 
 
 _series_params = dict(m=st.floats(1.1, 5.0, exclude_min=True),
@@ -58,6 +59,11 @@ class TestSeriesSeed:
             shoot_backward(Params(2.0, 16.0), 100.0)
         with pytest.raises(SeedUnderflow):
             slope_fn(Params(2.0, 16.0), 100.0)
+        # the weight's Taylor coefficients xi0^(sigma - j) overflow at 100,
+        # and the sums of the recursion at 10
+        for xi0 in (100.0, 10.0):
+            with pytest.raises(SeriesOverflow):
+                slope_fn(Params(2.0, 200.0), xi0)
 
     @settings(max_examples=200, deadline=None)
     @given(**_series_params)
@@ -162,23 +168,6 @@ class TestSeriesSeedShots:
         assert np.allclose(prof.g[near], g, rtol=1e-9, atol=0.0)
         assert np.allclose(prof.dg[near], dg, rtol=1e-9, atol=0.0)
 
-    def test_config_dense_dx_takes_no_samples(self, monkeypatch):
-        # a shot takes dense samples from its dense_dx argument alone: the
-        # bare shot of slope_fn under a config with dense_dx set samples
-        # nothing and keeps the bits of its slope
-        slope = slope_fn(P201, 12.0)
-        results = []
-
-        def recording(*args, **kwargs):
-            results.append(integrate(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(shooting, "integrate", recording)
-        cfg = IntegratorConfig(dense_dx=1e-3)
-        assert slope_fn(P201, 12.0, config=cfg).hex() == slope.hex()
-        assert len(results) == 1
-        assert len(results[0].t) - 1 == results[0].n_steps
-
     def test_bare_shot_rejections(self, monkeypatch):
         # toward the axis, where the weight xi^sigma is not smooth, the
         # error estimate rises from step to step
@@ -206,7 +195,7 @@ class TestForwardShot:
         # the sigma=0 shot from the explicit amplitude lands its interface at
         # pi*m/(m-1); tight tolerances since the interface layer amplifies
         # integration error into the located interface
-        prof, out = shoot_forward(P20, 4.0 / 3.0, xi_max=20.0, config=TIGHT)
+        prof, out = shoot_forward(P20, 4.0 / 3.0, xi_max=20.0, **TIGHT)
         assert isinstance(out, Interface)
         assert out.xi0 == pytest.approx(2.0 * np.pi, abs=1e-5)
         assert prof.interface == out.xi0
@@ -237,7 +226,7 @@ class TestForwardShot:
         prof_b, out_b = shoot_backward(P201, 9.6355)
         assert isinstance(out_b, ReachedOrigin)
         prof_f, out_f = shoot_forward(P201, out_b.f0, slope0=out_b.slope,
-                                      xi_max=20.0, config=TIGHT)
+                                      xi_max=20.0, **TIGHT)
         assert isinstance(out_f, Interface)
         assert out_f.xi0 == pytest.approx(9.6355, abs=5e-3)
 
@@ -276,8 +265,7 @@ class TestSeriesHandoff:
         ref = explicit_interface_F0(m)
         _, out = shoot_forward(Params(m, 0.0), explicit_profile_F0(m, 0.0),
                                xi_max=2.5 * ref,
-                               config=IntegratorConfig(rel_tol=rel_tol),
-                               dense_dx=None)
+                               rel_tol=rel_tol, dense_dx=None)
         assert isinstance(out, Interface), out
         assert abs(out.xi0 - ref) < bound
 
@@ -297,7 +285,7 @@ class TestSeriesHandoff:
         ref = explicit_interface_F0(3.0)
         errors = [abs(shoot_forward(
             Params(3.0, 0.0), explicit_profile_F0(3.0, 0.0), xi_max=2.5 * ref,
-            config=IntegratorConfig(rel_tol=tol), dense_dx=None)[1].xi0 - ref)
+            rel_tol=tol, dense_dx=None)[1].xi0 - ref)
             for tol in (1e-10, 1e-12)]
         assert errors[1] < 0.1 * errors[0]
 
@@ -414,7 +402,7 @@ class TestFindGoodProfiles:
         # start must still count as the profile's maximum.
         xi0 = 2.0 * np.pi - 3e-4
         assert -1e-4 < slope_fn(Params(2, 0), xi0) < 0.0
-        gp = _validate_good(Params(2, 0), xi0, 1e-4, None)
+        gp = _validate_good(Params(2, 0), xi0, 1e-4, DEFAULT_REL_TOL)
         assert gp.n_max == 1
         assert gp.profile.maxima == (0.0,)
 
@@ -463,15 +451,15 @@ class TestSearchContract:
 
 
 def _search_tol(slope_tol):
-    # find_good_profiles' search tolerance at the default config
-    return max(IntegratorConfig().rel_tol,
+    # find_good_profiles' search tolerance at the default rel_tol
+    return max(DEFAULT_REL_TOL,
                min(shooting.SEARCH_REL_TOL, slope_tol / 100.0))
 
 
 class TestSearchTolerance:
     """Grid and ITP shots run at a looser tolerance than the caller's; the
-    margin 10 L must cover their slope error, and the caller's config must
-    decide every root they misplace."""
+    margin 10 L must cover their slope error, and the caller's tolerance
+    must decide every root they misplace."""
 
     # (sigma, xi0 window, slope_tol, spacing): the windows of the search
     # benchmark (each seed's placement) and of acceptance checks 2 and 3
@@ -485,10 +473,9 @@ class TestSearchTolerance:
     def test_loose_slope_error(self, sigma, lo, hi, slope_tol, dx):
         params = Params(2.0, sigma)
         L = _search_tol(slope_tol)
-        loose = IntegratorConfig(rel_tol=L)
         for x in np.arange(lo, hi + 1e-9, dx):
             s = slope_fn(params, float(x))
-            s_loose = slope_fn(params, float(x), config=loose)
+            s_loose = slope_fn(params, float(x), rel_tol=L)
             err = abs(s_loose - s) / (1.0 + abs(s))
             # the error grows with xi0 at sigma = 0.1: 6.2 L near xi0 = 74
             bound = 10.0 * L / (3.0 if x <= 60.0 else 1.0)
@@ -502,17 +489,18 @@ class TestSearchTolerance:
         original = shooting.slope_fn
         tols = []
 
-        def biased(params, xi0, config=None):
-            s = original(params, xi0, config=config)
-            tols.append(config.rel_tol if config else None)
-            return s + 2.0 * slope_tol if config else s
+        def biased(params, xi0, rel_tol):
+            # None marks a shot at the caller's tolerance
+            loose = rel_tol != DEFAULT_REL_TOL
+            s = original(params, xi0, rel_tol=rel_tol)
+            tols.append(rel_tol if loose else None)
+            return s + 2.0 * slope_tol if loose else s
 
         monkeypatch.setattr(shooting, "slope_fn", biased)
         found = find_good_profiles(P201, 8.5, 16.5, grid_n=9,
                                    slope_tol=slope_tol)
         assert _search_tol(slope_tol) in tols and None in tols
-        monkeypatch.setattr(shooting, "SEARCH_REL_TOL",
-                            IntegratorConfig().rel_tol)
+        monkeypatch.setattr(shooting, "SEARCH_REL_TOL", DEFAULT_REL_TOL)
         want = find_good_profiles(P201, 8.5, 16.5, grid_n=9,
                                   slope_tol=slope_tol)
         assert [gp.xi0 for gp in found] == [gp.xi0 for gp in want]
@@ -528,8 +516,8 @@ class TestSearchTolerance:
         assert rows[0].xi0s[0] == pytest.approx(2.0 * np.pi, abs=1e-3)
 
     def test_caller_tolerance_at_search_tolerance(self, monkeypatch):
-        # config at or above the search tolerance: no margin, every shot at
-        # the caller's config
+        # rel_tol at or above the search tolerance: no margin, every shot at
+        # the caller's rel_tol
         tols = []
         original = shooting.integrate
 
@@ -539,9 +527,53 @@ class TestSearchTolerance:
 
         monkeypatch.setattr(shooting, "integrate", recording)
         found = find_good_profiles(P201, 8.5, 16.5, grid_n=9, slope_tol=1e-4,
-                                   config=IntegratorConfig(rel_tol=1e-6))
+                                   rel_tol=1e-6)
         assert len(found) == 2
         assert len(tols) > 9 and set(tols) == {1e-6}
+
+
+class TestToleranceArguments:
+    """Shots, searches and orbits build the IntegratorConfig of each
+    integrate call from the tolerances they take."""
+
+    @staticmethod
+    def _configs(monkeypatch, module, run):
+        seen = []
+
+        def recording(rhs, y0, t_span, events=(), config=None):
+            seen.append(config)
+            return integrate(rhs, y0, t_span, events=events, config=config)
+
+        monkeypatch.setattr(module, "integrate", recording)
+        run()
+        return seen
+
+    def test_every_integrate_call_gets_them(self, monkeypatch):
+        rel_tol, abs_tol = 1e-11, 1e-13
+        # a forward shot continued past the failed handoff to g = 0
+        seen = self._configs(monkeypatch, shooting, lambda: shoot_forward(
+            Params(2.0, 0.5), 3.0, xi_max=50.0, rel_tol=rel_tol,
+            abs_tol=abs_tol))
+        assert len(seen) == 2
+        assert all(c.rel_tol == rel_tol and c.abs_tol == abs_tol
+                   for c in seen)
+        seen = self._configs(monkeypatch, shooting, lambda: shoot_backward(
+            P201, 12.0, rel_tol=rel_tol))
+        assert len(seen) == 1 and seen[0].rel_tol == rel_tol
+        seen = self._configs(monkeypatch, analysis, lambda: (
+            analysis.integrate_orbit(Params(2.0, 1.0),
+                                     PhaseState(0.05, 0.01, 1.01), 5.0,
+                                     rel_tol=rel_tol, abs_tol=abs_tol)))
+        assert len(seen) == 1
+        assert (seen[0].rel_tol, seen[0].abs_tol) == (rel_tol, abs_tol)
+        # a search: grid and ITP shots at the search tolerance, all others,
+        # the dense validating shots among them, at rel_tol
+        seen = self._configs(monkeypatch, shooting, lambda: (
+            find_good_profiles(P201, 8.5, 16.5, grid_n=9, slope_tol=1e-4,
+                               rel_tol=rel_tol)))
+        assert {c.rel_tol for c in seen} == {_search_tol(1e-4), rel_tol}
+        dense = [c for c in seen if c.dense_dx]
+        assert len(dense) == 2 and all(c.rel_tol == rel_tol for c in dense)
 
 
 def _cubic(root, c, d, sign):
@@ -669,22 +701,15 @@ class TestMultiplicityScan:
         assert by_sigma[0.0].error is None
 
     def test_seed_underflow_drops_grid_points(self):
-        # at sigma = 16 the seed distance near xi0 = 100 rounds to 0: each
-        # such grid point is an unreliable slope, named in the warning, and
-        # the row is a count, not an error
-        with pytest.warns(UserWarning, match=r"dropped xi0 = \[95\.0, "):
-            rows = multiplicity_scan(2.0, [16.0], 100.0, xi0_lo=95.0,
-                                     grid_dx=2.5)
-        assert rows[0].error is None and rows[0].count == 0
-
-    def test_series_overflow_recorded(self):
-        # at sigma = 200 the weight's Taylor coefficients xi0^(sigma - j)
-        # overflow a float near xi0 = 100: an error row, not a raise
-        rows = multiplicity_scan(2.0, [200.0], 100.0, xi0_lo=95.0,
-                                 grid_dx=2.5)
-        with pytest.raises(OverflowError) as err:
-            interface_series(Params(2.0, 200.0), 95.0)
-        assert rows[0].count == 0 and rows[0].error == str(err.value)
+        # near xi0 = 100 the seed distance rounds to 0 at sigma = 16, and the
+        # weight's Taylor coefficients xi0^(sigma - j) overflow a float at
+        # sigma = 200: each such grid point is an unreliable slope, named in
+        # the warning, and the row is a count, not an error
+        for sigma in (16.0, 200.0):
+            with pytest.warns(UserWarning, match=r"dropped xi0 = \[95\.0, "):
+                rows = multiplicity_scan(2.0, [sigma], 100.0, xi0_lo=95.0,
+                                         grid_dx=2.5)
+            assert rows[0].error is None and rows[0].count == 0
 
     def test_programming_error_propagates(self):
         # only numerical failures and invalid parameters become error rows
@@ -743,8 +768,7 @@ class TestGapImpliesEmpty:
     def test_gap_windows_are_empty(self, m, sigma, hi):
         params = Params(m, sigma)
         assert nonexistence_gap(params).gap
-        cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-12)
-        found = find_good_profiles(params, 0.5, hi, grid_n=17, config=cfg)
+        found = find_good_profiles(params, 0.5, hi, grid_n=17, rel_tol=1e-8)
         assert found == []
 
 
@@ -835,7 +859,7 @@ class TestSigmaZeroRegressionM3:
         assert a == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-15)
         assert xi0 == pytest.approx(1.5 * np.pi, rel=1e-15)
 
-        prof, out = shoot_forward(p, a, xi_max=10.0, config=TIGHT)
+        prof, out = shoot_forward(p, a, xi_max=10.0, **TIGHT)
         assert isinstance(out, Interface)
         assert out.xi0 == pytest.approx(xi0, abs=1e-5)
 
