@@ -701,15 +701,25 @@ class TestMultiplicityScan:
         assert by_sigma[0.0].error is None
 
     def test_seed_underflow_drops_grid_points(self):
-        # near xi0 = 100 the seed distance rounds to 0 at sigma = 16, and the
-        # weight's Taylor coefficients xi0^(sigma - j) overflow a float at
-        # sigma = 200: each such grid point is an unreliable slope, named in
-        # the warning, and the row is a count, not an error
-        for sigma in (16.0, 200.0):
-            with pytest.warns(UserWarning, match=r"dropped xi0 = \[95\.0, "):
-                rows = multiplicity_scan(2.0, [sigma], 100.0, xi0_lo=95.0,
-                                         grid_dx=2.5)
-            assert rows[0].error is None and rows[0].count == 0
+        # at sigma = 16 the seed distance near xi0 = 100 rounds to 0: each
+        # such grid point is an unreliable slope, named in the warning, and
+        # the row is a count, not an error
+        with pytest.warns(UserWarning, match=r"dropped xi0 = \[95\.0, "):
+            rows = multiplicity_scan(2.0, [16.0], 100.0, xi0_lo=95.0,
+                                     grid_dx=2.5)
+        assert rows[0].error is None and rows[0].count == 0
+
+    def test_series_overflow_recorded(self):
+        # at sigma = 200 the weight's Taylor coefficients xi0^(sigma - j)
+        # overflow a float near xi0 = 100: like a seed underflow, each such
+        # grid point is dropped and named in the warning, and the row is a
+        # count, not an error
+        with pytest.raises(OverflowError):
+            interface_series(Params(2.0, 200.0), 95.0)
+        with pytest.warns(UserWarning, match=r"dropped xi0 = \[95\.0, "):
+            rows = multiplicity_scan(2.0, [200.0], 100.0, xi0_lo=95.0,
+                                     grid_dx=2.5)
+        assert rows[0].error is None and rows[0].count == 0
 
     def test_programming_error_propagates(self):
         # only numerical failures and invalid parameters become error rows
