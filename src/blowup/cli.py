@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__, acceptance, phase, shooting
+from .analysis import integrate_orbit
 from .integrate import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, IntegrationError
 from .model import Params, integral_identity_residual
 from .shooting import (Diverged, Interface, ReachedOrigin, ShotOutcome,
@@ -179,7 +180,6 @@ def cmd_phase(args) -> int:
         x, y, z = (float(v) for v in args.start.split(","))
     except ValueError:
         raise UsageError("--start must be X,Y,Z")
-    from .analysis import integrate_orbit
     abs_tol = DEFAULT_ABS_TOL if args.abs_tol is None else args.abs_tol
     report = integrate_orbit(params, phase.PhaseState(x, y, z),
                              eta_max=args.eta_max, rel_tol=args.rel_tol,

@@ -808,13 +808,12 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
                     step_hits.append(EventRecord(ev.kind, te, np.array(ye),
                                                  ev.terminal))
             step_hits.sort(key=lambda r: direction * r.t)
-            for rec in step_hits:
-                if rec.terminal:
+            for i, rec in enumerate(step_hits):
+                if rec.terminal:  # the step ends at the first terminal hit
                     stop_t = rec.t
+                    del step_hits[i + 1:]
                     break
 
-        kept = [r for r in step_hits
-                if stop_t is None or direction * r.t <= direction * stop_t]
         end_t = stop_t if stop_t is not None else t_new
 
         # --- uniform dense samples up to end_t, recorded to go before the
@@ -825,13 +824,11 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
             if samples.size:
                 blocks.append((len(ts), t_old, h, q, samples))
 
+        records.extend(step_hits)
         if stop_t is not None:
-            term = next(r for r in kept if r.terminal and r.t == stop_t)
-            records.extend(kept[: kept.index(term) + 1])
-            ts.append(term.t)
-            ys.append(term.y)
+            ts.append(stop_t)
+            ys.append(step_hits[-1].y)
             return result("terminal_event")
-        records.extend(kept)
         ts.append(t_new)
         ys.append(y_new)
 

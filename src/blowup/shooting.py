@@ -12,14 +12,15 @@ fall below 2^-52, typically at delta ~ 1e-3 .. 0.1: there the series is the
 exact solution to rounding and carries the shot through the interface layer
 in place of the stepper.  The same series is used on the way *in*:
 integrating down to g = 0 across the degenerate contact is hopeless (the
-trajectory grazes zero tangentially), so shots terminate on a positive
-g-floor (_g_floor_fn), which at sigma = 0 and for large xi0 lies no deeper
-than where the series' last two terms reach HANDOFF_TOL.  There Newton's
-method finds the xi0 whose series passes through the floor
-state's g, and the state is on the interface branch when its dg matches the
-series' to HANDOFF_TOL (see _resolve_vanish).  That is the one interface
-test: a shot that fails it is continued, and when it crosses g = 0 it does
-so with dg bounded away from 0, a vertical slope.
+trajectory grazes zero tangentially), so a shot is at most two legs of the
+integrator.  The first ends on a positive g-floor (_g_floor_fn), which at
+sigma = 0 and for large xi0 lies no deeper than where the series' last two
+terms reach HANDOFF_TOL.  There _handoff inverts the series through the
+floor state's g by Newton's method, and the state is on the interface
+branch when its dg matches the series' to HANDOFF_TOL: the shot ends at
+that Interface.  That is the one interface test.  A shot that fails it is
+continued by a second leg on the zero floor, and when that crosses g = 0 it
+does so with dg bounded away from 0, a vertical slope.
 
 Good profiles (f'(0) = 0) are located as roots in xi0 of the slope of the
 backward shot at the axis, bracketed on a grid and refined by the ITP method;
@@ -43,7 +44,7 @@ from .integrate import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Event, EventKind,
                         IntegrationResult, integrate, off_level)
 from .model import (BackwardShot, ForwardShot, Params, Profile,
                     explicit_interface_F0, g_field,
-                    integral_identity_residual, rhs_g)
+                    integral_identity_residual)
 
 __all__ = [
     "Interface",
@@ -86,8 +87,6 @@ SERIES_TAIL = 2.0 ** -52
 EPS_REL = 1e-6
 #: default spacing of dense profile samples (quadrature accuracy ~ dx^4)
 PROFILE_DENSE_DX = 1e-3
-#: forward shots stop when g exceeds this (escape toward infinite slope data)
-G_CEILING = 1e9
 #: relative allowance for the rounding of the g-floor's power between its
 #: values at the two ends of a step, thousands of ulps
 FLOOR_SLACK = 1e-12
@@ -278,11 +277,6 @@ def _dgzero_event() -> Event:
                  terminal=False, one_sign=off_level(1, 0.0))
 
 
-def _g_ceiling_event(gmax: float) -> Event:
-    return Event(EventKind.STATE_BOUND, lambda t, y: gmax - y[0],
-                 direction=-1, terminal=True, one_sign=off_level(0, gmax))
-
-
 def _g_floor_fn(params: Params, g_start: float):
     """xi-dependent handoff floor: the least of a fraction of the launch
     amplitude, a fraction of the hyperbola g-scale (held at its xi = 1 value
@@ -300,18 +294,19 @@ def _g_floor_fn(params: Params, g_start: float):
 
 
 # --------------------------------------------------------------------------
-# profile assembly
+# extrema
 # --------------------------------------------------------------------------
 
 def _extrema(params: Params, records: Sequence[EventRecord],
              origin_g: Optional[float], origin_slope: Optional[float]
              ) -> Tuple[tuple, tuple]:
+    field = g_field(params)
     maxima: List[float] = []
     minima: List[float] = []
     for rec in records:
         if rec.kind is not EventKind.DG_ZERO:
             continue
-        curv = rhs_g(params, max(rec.t, 0.0), max(float(rec.y[0]), 0.0))
+        curv = field(max(rec.t, 0.0), max(float(rec.y[0]), 0.0))
         if curv < 0.0:
             maxima.append(float(rec.t))
         elif curv > 0.0:
@@ -323,7 +318,7 @@ def _extrema(params: Params, records: Sequence[EventRecord],
     # the same feature and get absorbed.
     if (origin_g is not None and origin_slope is not None
             and abs(origin_slope) < ORIGIN_FLAT_TOL):
-        curv0 = rhs_g(params, 0.0, max(origin_g, 0.0))
+        curv0 = field(0.0, max(origin_g, 0.0))
         if curv0 != 0.0:
             maxima = [x for x in maxima if x > 1e-3]
             minima = [x for x in minima if x > 1e-3]
@@ -339,49 +334,27 @@ def _extrema(params: Params, records: Sequence[EventRecord],
     return dedup(maxima), dedup(minima)
 
 
-def _slope_from_state(params: Params, g: float, dg: float) -> float:
-    m = params.m
-    if g <= 0.0:
-        raise ValueError("slope undefined at g <= 0")
-    return dg / (m * g ** ((m - 1.0) / m))
-
-
-def _merge(res1: IntegrationResult, res2: Optional[IntegrationResult]
-           ) -> Tuple[np.ndarray, np.ndarray, List[EventRecord]]:
-    if res2 is None:
-        return res1.t, res1.y, list(res1.events)
-    t = np.concatenate([res1.t, res2.t[1:]])
-    y = np.concatenate([res1.y, res2.y[1:]], axis=0)
-    return t, y, list(res1.events) + list(res2.events)
-
-
-def _build_profile(params: Params, t: np.ndarray, y: np.ndarray,
-                   provenance, maxima, minima, interface, slope_at_origin
-                   ) -> Profile:
-    order = np.argsort(t)
-    xi = t[order]
-    g = np.maximum(y[order, 0], 0.0)
-    dg = y[order, 1]
-    keep = np.concatenate([[True], np.diff(xi) > 0.0])
-    return Profile(params=params, xi=xi[keep], g=g[keep], dg=dg[keep],
-                   provenance=provenance, maxima=maxima, minima=minima,
-                   interface=interface, slope_at_origin=slope_at_origin)
-
-
 # --------------------------------------------------------------------------
 # shooting
 # --------------------------------------------------------------------------
 
-def _series_through(params: Params, xi_h: float, g_h: float,
-                    direction: float) -> Optional[Tuple[float, float]]:
-    """(xi0, dg): the interface xi0 whose series passes through g_h at xi_h,
-    with the dg of that series state, or None when an iterate leaves
-    xi0 > 0.  direction points from xi_h toward the interface.
+def _handoff(params: Params, xi_h: float, g_h: float, dg_h: float,
+             direction: float) -> Optional[float]:
+    """The interface xi0 of the g-floor state (xi_h, g_h, dg_h), or None
+    when the state is off the interface branch.  direction points from xi_h
+    toward the interface.
 
     Newton's method on delta = |xi0 - xi_h|, started from the leading term
-    delta = g_h^(1/p)/C, with the coefficients taken at each iterate's xi0;
-    it stops when a step no longer shrinks, at rounding level.
+    delta = g_h^(1/p)/C, with the coefficients taken at each iterate's xi0,
+    finds the xi0 whose series passes through g_h at xi_h; it stops when a
+    step no longer shrinks, at rounding level.  The state is on the branch
+    when its dg matches that series state's to HANDOFF_TOL: the shot ends
+    there, since integrating deeper only degrades the state (the escaping
+    linear mode amplifies its error like 1/delta^2).  None also when g_h is
+    not positive or an iterate leaves xi0 > 0.
     """
+    if not g_h > 0.0:
+        return None
     delta = g_h ** (1.0 / series_exponent(params)) / series_constant(params)
     last = np.inf
     while True:
@@ -391,48 +364,12 @@ def _series_through(params: Params, xi_h: float, g_h: float,
         g, dg = interface_series(params, xi0).state(delta)
         step = (g - g_h) / dg
         if not abs(step) < last:
-            return float(xi0), dg
+            break
         delta, last = delta + step, abs(step)
-
-
-def _resolve_vanish(params: Params, res: IntegrationResult, rhs, events,
-                    cfg: IntegratorConfig, t_end: float,
-                    at_end: Callable[[IntegrationResult], ShotOutcome]
-                    ) -> Tuple[ShotOutcome, Optional[IntegrationResult]]:
-    """Terminal g-floor hit: decide interface vs vertical slope.
-
-    The interface series through the floor state's g fixes xi0; when the
-    state's dg matches that series state's to HANDOFF_TOL the shot ends
-    there at Interface(xi0): integrating deeper only degrades the state,
-    since the escaping linear mode amplifies its error like 1/delta^2.
-    This is the only interface test.  Otherwise the shot is continued: it
-    ends at VerticalSlope where it crosses g = 0, or at the end of its span
-    (at_end).
-    """
-    term = res.terminal_event
-    xi_h, g_h, dg_h = term.t, max(float(term.y[0]), 0.0), float(term.y[1])
-    direction = 1.0 if t_end >= xi_h else -1.0
-    located = _series_through(params, xi_h, g_h, direction) if g_h > 0.0 \
-        else None
-    if located is not None:
-        xi0, dg_s = located
-        # the series branch descends toward xi0 in either direction
-        if abs(direction * dg_h - dg_s) < HANDOFF_TOL * abs(dg_s):
-            return Interface(xi0), None
-
-    # transversal vanishing: off the interface branch, g = 0 is crossed
-    # with dg bounded away from 0
-    cont_events = [_g_floor_event(lambda t: 0.0)] + [ev for ev in events
-                                                     if not ev.terminal]
-    try:
-        res2 = integrate(rhs, [g_h, dg_h], (xi_h, t_end),
-                         events=cont_events, config=cfg)
-    except IntegrationError as err:
-        return Diverged(str(err)), err.partial
-    term2 = res2.terminal_event
-    if term2 is None:
-        return at_end(res2), res2
-    return VerticalSlope(term2.t), res2
+    # the series branch descends toward xi0 in either direction
+    if abs(direction * dg_h - dg) < HANDOFF_TOL * abs(dg):
+        return float(xi0)
+    return None
 
 
 def _shoot(params: Params, provenance: Union[ForwardShot, BackwardShot],
@@ -445,48 +382,70 @@ def _shoot(params: Params, provenance: Union[ForwardShot, BackwardShot],
            ) -> Tuple[Profile, ShotOutcome]:
     """One shot of the profile ODE over t_span, assembled into a Profile.
 
-    The shot stops on the g-floor handoff (classified by _resolve_vanish), on
-    g passing G_CEILING or an integration failure (Diverged), or at the end of
-    the span, where at_end(result) gives the outcome.  origin is the axis
-    state (g, f') when the shot starts there; a ReachedOrigin outcome
-    supplies it otherwise.  interface defaults to that of an Interface
-    outcome.  head holds samples (t, y) that precede t_span[0].
+    The shot is at most two legs of integrate.  Each ends on an integration
+    failure (Diverged, with its partial trajectory), at the end of the span,
+    where at_end(result) gives the outcome, or on its floor event.  The first
+    leg's floor is the g-floor handoff: Interface when _handoff places the
+    state on the interface series, and otherwise the second leg starts from
+    the floor state (g clamped at 0), on the zero floor, which it hits at a
+    VerticalSlope.  origin is the axis state (g, f') when the shot starts
+    there; a ReachedOrigin outcome supplies it otherwise.  interface
+    defaults to that of an Interface outcome.  head holds samples (t, y)
+    that precede t_span[0].
     """
     rhs = profile_rhs(params)
-    events = [_g_floor_event(_g_floor_fn(params, g_start)),
-              _g_ceiling_event(G_CEILING)]
-    if track_events:
-        events.append(_dgzero_event())
+    tracked = [_dgzero_event()] if track_events else []
+    t_end = t_span[1]
+    direction = 1.0 if t_end > t_span[0] else -1.0
+    pieces = [head] if head is not None else []
+    records: List[EventRecord] = []
+    y_start, t_start = y0, t_span[0]
+    for leg, floor in enumerate((_g_floor_fn(params, g_start),
+                                 lambda t: 0.0)):
+        events = [_g_floor_event(floor)] + tracked
+        outcome: Optional[ShotOutcome] = None
+        try:
+            res = integrate(rhs, y_start, (t_start, t_end), events=events,
+                            config=cfg)
+        except IntegrationError as err:
+            if err.partial is None:
+                raise
+            res, outcome = err.partial, Diverged(str(err))
+        # the second leg starts on the first one's last point
+        pieces.append((res.t[leg:], res.y[leg:]))
+        records.extend(res.events)
+        if outcome is None:
+            term = res.terminal_event
+            if term is None:
+                outcome = at_end(res)
+            elif leg:
+                outcome = VerticalSlope(term.t)
+            else:
+                g_h, dg_h = max(float(term.y[0]), 0.0), float(term.y[1])
+                xi0 = _handoff(params, term.t, g_h, dg_h, direction)
+                if xi0 is None:
+                    y_start, t_start = [g_h, dg_h], term.t
+                    continue
+                outcome = Interface(xi0)
+        break
 
-    res2 = None
-    try:
-        res = integrate(rhs, y0, t_span, events=events, config=cfg)
-    except IntegrationError as err:
-        if err.partial is None:
-            raise
-        outcome: ShotOutcome = Diverged(str(err))
-        res = err.partial
-    else:
-        term = res.terminal_event
-        if term is None:
-            outcome = at_end(res)
-        elif term.kind is EventKind.STATE_BOUND:
-            outcome = Diverged("g exceeded ceiling")
-        else:
-            outcome, res2 = _resolve_vanish(params, res, rhs, events, cfg,
-                                            t_span[1], at_end)
-
-    t, y, records = _merge(res, res2)
-    if head is not None:
-        t, y = np.concatenate((head[0], t)), np.concatenate((head[1], y))
+    # every leg is strictly monotone in t: a backward shot is reversed
+    t = np.concatenate([piece[0] for piece in pieces])
+    y = np.concatenate([piece[1] for piece in pieces])
+    if direction < 0.0:
+        t, y = t[::-1], y[::-1]
     if isinstance(outcome, ReachedOrigin):
-        origin = (float(y[np.argmin(t), 0]), outcome.slope)
+        origin = (float(y[0, 0]), outcome.slope)
     if interface is None and isinstance(outcome, Interface):
         interface = outcome.xi0
     origin_g, origin_slope = origin or (None, None)
     maxima, minima = _extrema(params, records, origin_g, origin_slope)
-    profile = _build_profile(params, t, y, provenance, maxima, minima,
-                             interface, origin_slope)
+    # dg is copied so that the profile does not keep the (n, 2) states
+    # alive: held, they raised the profiles benchmark's peak RSS by 8 MB
+    profile = Profile(params=params, xi=t, g=np.maximum(y[:, 0], 0.0),
+                      dg=y[:, 1].copy(), provenance=provenance,
+                      maxima=maxima, minima=minima, interface=interface,
+                      slope_at_origin=origin_slope)
     return profile, outcome
 
 
@@ -500,8 +459,8 @@ def shoot_forward(params: Params, a: float, xi_max: float = DEFAULT_XI_MAX,
 
     Records interior extrema, stops on vanishing g (Interface where the
     g-floor state lies on the interface series, VerticalSlope where the
-    continued shot crosses g = 0), on g blowing past G_CEILING (Diverged),
-    or at xi_max (Exhausted).
+    continued shot crosses g = 0), on an integration failure (Diverged), or
+    at xi_max (Exhausted).
     """
     if a <= 0.0 or xi_max <= 0.0:
         raise ValueError("need a > 0 and xi_max > 0")
@@ -570,8 +529,9 @@ def shoot_backward(params: Params, xi0: float,
         if g_end <= 0.0:
             raise SlopeUnreliable(
                 f"backward shot from xi0={xi0} reached the axis with g <= 0")
-        return ReachedOrigin(g_end ** (1.0 / params.m),
-                             _slope_from_state(params, g_end, dg_end))
+        m = params.m
+        return ReachedOrigin(g_end ** (1.0 / m),
+                             dg_end / (m * g_end ** ((m - 1.0) / m)))
 
     return _shoot(params, BackwardShot(xi0, eps), [g0, dg0], (xi_seed, 0.0),
                   np.inf, cfg, track_events, at_axis, interface=xi0,
@@ -643,7 +603,8 @@ def _validate_good(params: Params, xi0: float, slope_tol: float,
         if xi_m == 0.0:
             continue
         i = profile.nearest_index(xi_m)
-        lvl = (m - 1.0) * xi_m ** sigma * float(profile.f[i]) ** (m - 1.0)
+        f_m = float(profile.g[i]) ** (1.0 / m)
+        lvl = (m - 1.0) * xi_m ** sigma * f_m ** (m - 1.0)
         if lvl < 1.0 - 1e-6:
             raise SlopeUnreliable(
                 f"maximum at xi={xi_m} falls below the equilibrium hyperbola "

@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import numpy as np
@@ -6,20 +7,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blowup import analysis, shooting
-from blowup.integrate import (DEFAULT_REL_TOL, EventKind, EventRecord,
-                              IntegrationResult, IntegratorConfig, integrate)
+from blowup.integrate import DEFAULT_REL_TOL, IntegratorConfig, integrate
 from blowup.model import (Params, explicit_interface_F0,
                           explicit_profile_F0, g_field)
 from blowup.phase import PhaseState
 from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, HANDOFF_TOL,
-                             SERIES_ORDER, Exhausted, Interface, ReachedOrigin,
-                             SeedUnderflow, SeriesOverflow, VerticalSlope,
-                             _itp_root, _validate_good, find_good_profiles,
-                             interface_series, multiplicity_scan,
-                             nonexistence_gap, profile_rhs, series_constant,
-                             series_exponent, shoot_backward, shoot_forward,
-                             slope_fn)
+                             SERIES_ORDER, Diverged, Exhausted, Interface,
+                             ReachedOrigin, SeedUnderflow, SeriesOverflow,
+                             VerticalSlope, _itp_root, _validate_good,
+                             find_good_profiles, interface_series,
+                             multiplicity_scan, nonexistence_gap, profile_rhs,
+                             series_constant, series_exponent, shoot_backward,
+                             shoot_forward, slope_fn)
 
+INTEGRATE = importlib.import_module("blowup.integrate")
 P20 = Params(m=2.0, sigma=0.0)
 P201 = Params(m=2.0, sigma=0.1)
 TIGHT = dict(rel_tol=1e-12, abs_tol=1e-14)
@@ -246,14 +247,9 @@ class TestSeriesHandoff:
         xi = xi0 - d
         g, dg = series.state(xi0 - xi)
         assume(g > 1e-250)
-        state = np.array([g, dg])
-        res = IntegrationResult(np.array([xi]), state[None, :], [
-            EventRecord(EventKind.GZERO, xi, state, True)])
-        outcome, cont = shooting._resolve_vanish(
-            params, res, profile_rhs(params), [], IntegratorConfig(),
-            xi0 + 1.0, lambda res: Exhausted(xi0 + 1.0))
-        assert cont is None and isinstance(outcome, Interface)
-        assert outcome.xi0 == pytest.approx(xi0, rel=1e-12)
+        found = shooting._handoff(params, xi, g, dg, 1.0)
+        assert found is not None
+        assert found == pytest.approx(xi0, rel=1e-12)
 
     # the error of the forward interface against pi m/(m-1) at sigma = 0,
     # from the exact amplitude; at rel_tol 1e-10 and 1e-12 it was
@@ -288,6 +284,59 @@ class TestSeriesHandoff:
             rel_tol=tol, dense_dx=None)[1].xi0 - ref)
             for tol in (1e-10, 1e-12)]
         assert errors[1] < 0.1 * errors[0]
+
+
+class TestShotLegs:
+    """A shot is at most two legs of integrate: to the g-floor, and on from
+    there to the zero floor when the floor state is off the interface
+    branch."""
+
+    P = Params(2.0, 0.5)
+
+    def shot(self):
+        # 60 steps to the g-floor, then 4 to g = 0
+        return shoot_forward(self.P, 3.0, xi_max=50.0, dense_dx=None)
+
+    def test_failure_on_the_first_leg(self, monkeypatch):
+        full, _ = self.shot()
+        monkeypatch.setattr(INTEGRATE, "MAX_STEPS", 30)
+        prof, out = self.shot()
+        assert isinstance(out, Diverged) and "30 steps" in out.reason, out
+        # the partial trajectory: the start and 30 accepted steps
+        assert len(prof.xi) == 31
+        assert np.array_equal(prof.xi, full.xi[:31])
+        assert np.array_equal(prof.g, full.g[:31])
+
+    def test_failure_on_the_second_leg(self, monkeypatch):
+        full, out = self.shot()
+        assert isinstance(out, VerticalSlope), out
+        calls = []
+
+        def second_leg_capped(*args, **kwargs):
+            if calls:
+                monkeypatch.setattr(INTEGRATE, "MAX_STEPS", 2)
+            calls.append(args[2])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "integrate", second_leg_capped)
+        prof, out = self.shot()
+        assert len(calls) == 2
+        assert isinstance(out, Diverged) and "2 steps" in out.reason, out
+        # the first leg's 61 points, the last of them where the second leg
+        # starts, then that leg's 2 steps
+        n = len(full.xi) - 2
+        assert len(prof.xi) == n and prof.xi[-3] == calls[1][0]
+        assert np.array_equal(prof.xi, full.xi[:n])
+        assert np.array_equal(prof.dg, full.dg[:n])
+
+    def test_steep_start_reaches_a_vertical_slope(self):
+        # g'' <= g^(1/m)/(m-1) grows sublinearly, so no profile escapes to
+        # infinity at finite xi: from slope 1e9 at sigma = 0 the shot rises
+        # past g = 1e9 and comes back down to g = 0 near pi
+        _, out = shoot_forward(P20, 1.0, slope0=1e9, xi_max=30.0,
+                               dense_dx=None)
+        assert isinstance(out, VerticalSlope), out
+        assert abs(out.xi0 - np.pi) < 1e-3
 
 
 class TestBackwardShot:
