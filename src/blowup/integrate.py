@@ -41,11 +41,11 @@ bracketing on several dense-output subsamples per accepted step (the
 profile ODE produces closely spaced crossings), (ii) a hard cap on the
 number of steps with typed failures, and (iii) optional uniformly spaced
 dense samples merged into the returned trajectory so that quadrature over
-stored samples is accurate.  Each step records the abscissae of its samples
-(one vector of sequential sums) and its interpolant coefficients; the
-samples are evaluated in one numpy pass and interleaved with the step ends
-when the trajectory is returned, at the end, at a terminal event or with a
-failure's partial trajectory.
+stored samples is accurate.  Each step records its interpolant
+coefficients.  When the trajectory is returned (at the end, at a terminal
+event or with a failure's partial trajectory), the samples t0 + k dense_dx
+are built in one pass, each placed on its step by one search over the
+step ends, evaluated in one numpy pass and interleaved with the step ends.
 
 Events are screened before they are sampled.  An event may carry a
 certificate (Event.one_sign) that proves from a range bound of the step's
@@ -562,67 +562,43 @@ def _dense_states(q: Sequence[tuple], t_old: float, h: float,
     return list(zip(*[[_dense_poly(x, c) for x in xs] for c in q]))
 
 
-def _step_samples(start: float, dx: float, t_old: float, end: float,
-                  direction: float) -> Tuple[np.ndarray, float]:
-    """The uniform dense samples of the step from t_old to end.
-
-    The grid runs start, start + dx, ... (dx signed) up to the last point
-    before end by more than 1e-12 relative; the first point past that is
-    returned as the next step's start.  Grid points within 1e-13 relative
-    of t_old, or behind it, are dropped.  The points are the sequential sums
-    of dx, formed by np.add.accumulate in one pass, bit for bit the sums of
-    a loop `t += dx`.
-    """
-    lim = 1e-12 * max(1.0, abs(end))
-    if direction * (end - start) <= lim:
-        return np.empty(0), start
-    n = int(direction * (end - start) / abs(dx)) + 2
-    sums = np.empty(n)
-    sums.fill(dx)
-    sums[0] = start
-    sums = np.add.accumulate(sums)
-    while direction * (end - float(sums[-1])) > lim:  # rounding left it short
-        if sums[-1] + dx == sums[-1]:
-            raise ValueError(f"dense_dx is below the float spacing at "
-                             f"t={sums[-1]}")
-        more = np.empty(n)
-        more.fill(dx)
-        more[0] = sums[-1] + dx
-        sums = np.concatenate((sums, np.add.accumulate(more)))
-    # the sums are monotone, so the stop rule fails on a tail (the last sum
-    # and rarely the one before) and the skip rule holds on a head (rarely
-    # more than the first sum): both are found by scalar tests at the ends
-    k = len(sums) - 1
-    while direction * (end - float(sums[k - 1])) <= lim:
-        k -= 1
-    i = 0
-    while i < k and not (direction * (float(sums[i]) - t_old)
-                         > 1e-13 * max(1.0, abs(float(sums[i])))):
-        i += 1
-    return sums[i:k], float(sums[k])
-
-
 def _with_samples(ts: List[float], ys: List[Sequence[float]],
-                  blocks: List[tuple]) -> Tuple[np.ndarray, np.ndarray]:
-    """The trajectory as arrays: the points ts, ys, with each block's dense
-    samples inserted before the point ts[at].
+                  steps: List[tuple], dx: Optional[float]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The trajectory as arrays: the points ts, ys, with the uniform dense
+    samples t0 + k dx (k = 1, 2, ..., dx signed) inserted between them.
 
-    blocks holds (at, t_old, h, q, samples) per step with samples; all
-    samples are evaluated on their step's interpolant in one numpy pass.
+    steps holds (h, q) of each step from ts[j] toward ts[j] + h, whose end
+    ts[j + 1] may be a terminal event inside it.  A grid point is sampled
+    on the step it falls in unless it lies within 1e-13 (relative) past
+    the step's start or 1e-12 (relative) before its end; all samples are
+    evaluated on their step's interpolant in one numpy pass.
     """
     t, y = np.asarray(ts), np.asarray(ys)
-    if not blocks:
+    if not steps:
         return t, y
-    at, t_old, h, q, samples = zip(*blocks)
-    sizes = [s.size for s in samples]
-    step = np.repeat(np.arange(len(blocks)), sizes)
-    samples = np.concatenate(samples)
-    x = (samples - np.asarray(t_old)[step]) / np.asarray(h)[step]
+    far = max(abs(ts[0]), abs(ts[-1]))
+    # from 4 ulp of the largest |t| up, the rounded grid is strictly monotone
+    if abs(dx) < 4.0 * math.ulp(far):
+        raise ValueError(f"dense_dx is below 4 times the float spacing at "
+                         f"t={far}")
+    direction = 1.0 if dx > 0.0 else -1.0
+    grid = ts[0] + dx * np.arange(1, int((ts[-1] - ts[0]) / dx) + 2)
+    # the point grid[i] falls on the step from t[j[i] - 1] to t[j[i]]; a
+    # point past the last end fails the stop rule on the last step
+    j = np.minimum(np.searchsorted(direction * t, direction * grid),
+                   len(t) - 1)
+    start, end = t[j - 1], t[j]
+    keep = ((direction * (grid - start)
+             > 1e-13 * np.maximum(1.0, np.abs(grid)))
+            & (direction * (end - grid) > 1e-12 * np.maximum(1.0, np.abs(end))))
+    samples, j = grid[keep], j[keep]
+    h, q = zip(*steps)
+    x = (samples - t[j - 1]) / np.asarray(h)[j - 1]
     # coefficients as (8, samples, components), x broadcast over components
-    coef = np.asarray(q)[step].transpose(2, 0, 1)
-    where = np.repeat(at, sizes)
-    return (np.insert(t, where, samples),
-            np.insert(y, where, _dense_poly(x[:, None], coef), axis=0))
+    coef = np.asarray(q)[j - 1].transpose(2, 0, 1)
+    return (np.insert(t, j, samples),
+            np.insert(y, j, _dense_poly(x[:, None], coef), axis=0))
 
 
 # --------------------------------------------------------------------------
@@ -711,16 +687,15 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
     h_prev: Optional[float] = None
     err_prev = 0.0
     dense_dx = cfg.dense_dx * direction if cfg.dense_dx else None
-    next_dense = t0 + dense_dx if dense_dx is not None else None
-    # (at, t_old, h, q, abscissae) of each step's dense samples, evaluated
-    # in one pass when the trajectory is returned
-    blocks: List[tuple] = []
+    # (h, q) of each accepted step when dense samples are asked for: they
+    # are placed and evaluated in one pass when the trajectory is returned
+    steps: List[tuple] = []
     # event values at the current point, reused as the left end of each step
     ev_vals = [ev.fn(t0, y) for ev in events]
 
     def result(reason: str) -> IntegrationResult:
-        return IntegrationResult(*_with_samples(ts, ys, blocks), records,
-                                 reason, n_steps, n_rejected, n_rhs)
+        return IntegrationResult(*_with_samples(ts, ys, steps, dense_dx),
+                                 records, reason, n_steps, n_rejected, n_rhs)
 
     while direction * (t - t1) < 0.0:
         if n_steps >= MAX_STEPS:
@@ -773,9 +748,11 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
         t_old, y_old = t, y
         t, y, f = t_new, y_new, rhs(t_new, y_new)
         n_rhs += 1
-        if events or next_dense is not None:
+        if events or dense_dx is not None:
             q = interpolant(rhs, t_old, h, y_old, y_new, stages, f)
             n_rhs += 3
+            if dense_dx is not None:
+                steps.append((h, q))
 
         # --- event detection: certificates on the interpolant's range
         # bounds first, subsampled dense output for the events they leave ---
@@ -813,16 +790,6 @@ def integrate(rhs: Callable, y0: Sequence[float], t_span: Tuple[float, float],
                     stop_t = rec.t
                     del step_hits[i + 1:]
                     break
-
-        end_t = stop_t if stop_t is not None else t_new
-
-        # --- uniform dense samples up to end_t, recorded to go before the
-        # point appended next ---
-        if next_dense is not None:
-            samples, next_dense = _step_samples(next_dense, dense_dx, t_old,
-                                                end_t, direction)
-            if samples.size:
-                blocks.append((len(ts), t_old, h, q, samples))
 
         records.extend(step_hits)
         if stop_t is not None:

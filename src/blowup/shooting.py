@@ -283,7 +283,14 @@ def _g_floor_fn(params: Params, g_start: float):
     toward the axis, where it diverges for sigma > 0), and the g at which
     the unweighted interface series' last two terms reach HANDOFF_TOL.  The
     last scales like the hyperbola too: for large xi0 the weighted series
-    is the unweighted one in the variable delta xi0^(sigma/2)."""
+    is the unweighted one in the variable delta xi0^(sigma/2).
+
+    The cap at 1e-3 g_start keeps the floor below a forward shot's own
+    minima: from a small amplitude the orbit is periodic about the
+    equilibrium and returns to g_start with dg = 0, never reaching g = 0.
+    Without the cap, shoot_forward(Params(2, 0), 1e-3, xi_max=60) crosses
+    the floor on its first return and ends at Interface(12.48...) instead
+    of Exhausted; at m = 3, at Interface(9.42...)."""
     m = params.m
     series = interface_series(Params(m, 0.0), explicit_interface_F0(m))
     k = min(1e-3 * (1.0 / (m - 1.0)) ** (m / (m - 1.0)),
@@ -323,15 +330,7 @@ def _extrema(params: Params, records: Sequence[EventRecord],
             maxima = [x for x in maxima if x > 1e-3]
             minima = [x for x in minima if x > 1e-3]
             (maxima if curv0 < 0.0 else minima).append(0.0)
-
-    def dedup(points):
-        out: List[float] = []
-        for x in sorted(points):
-            if not out or x - out[-1] > 1e-6:
-                out.append(x)
-        return tuple(out)
-
-    return dedup(maxima), dedup(minima)
+    return tuple(sorted(maxima)), tuple(sorted(minima))
 
 
 # --------------------------------------------------------------------------

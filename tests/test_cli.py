@@ -116,6 +116,19 @@ class TestProfileCommand:
         assert meta["outcome"]["kind"] == "exhausted"
         assert len(meta["samples"]["xi"]) == len(meta["samples"]["g"])
 
+    def test_csv_out_ending_in_json(self, tmp_path):
+        # the CSV keeps the name it was given; its sidecar becomes .meta.json
+        out = tmp_path / "p.json"
+        code = run(["profile", "--m", "2", "--sigma", "0.5", "--xi0", "2",
+                    "--out", str(out)])
+        assert code == 0
+        assert out.read_text().startswith("xi,f,fprime,g,dg\n")
+        meta = json.loads((tmp_path / "p.meta.json").read_text())
+        assert meta["command"] == "profile"
+        assert meta["n_samples"] == len(out.read_text().splitlines()) - 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "p.json", "p.meta.json"]
+
     def test_tolerance_flags(self, tmp_path):
         # --rel-tol and --abs-tol reach the shot: the sigma = 0 interface
         # moves with them (2 pi + 1.4e-8 at the defaults, + 7.9e-11 here)
@@ -179,6 +192,21 @@ class TestPhaseCommand:
         assert rows[0] == "eta,X,Y,Z,cylinder_value"
         assert len(rows) > 10
 
+    def test_json_format(self, tmp_path):
+        # one JSON document holding the CSV's metadata and its rows
+        argv = ["phase", "--m", "2", "--sigma", "1", "--start",
+                "0.05,0.01,1.01", "--eta-max", "30"]
+        csv, doc = tmp_path / "orbit.csv", tmp_path / "doc.json"
+        assert run(argv + ["--out", str(csv)]) == 0
+        assert run(argv + ["--format", "json", "--out", str(doc)]) == 0
+        data = json.loads(doc.read_text())
+        rows = [[float(v) for v in line.split(",")]
+                for line in csv.read_text().splitlines()[1:]]
+        assert data["samples"] == rows
+        assert data["n_samples"] == len(rows)
+        del data["samples"]
+        assert data == json.loads(csv.with_suffix(".json").read_text())
+
     def test_bad_start(self, capsys):
         code = run(["phase", "--m", "2", "--sigma", "1", "--start", "oops"])
         assert code == 2
@@ -197,6 +225,20 @@ class TestScanCommand:
         assert int(count) == 1
         assert float(xi0s) == pytest.approx(2.0 * np.pi, abs=1e-3)
         assert nmaxs == "1"
+
+    def test_json_format(self, tmp_path):
+        # the sidecar of the CSV run, as one document
+        argv = ["scan", "--m", "2", "--sigma", "0", "--xi0-max", "7",
+                "--grid", "0.5"]
+        csv, doc = tmp_path / "scan.csv", tmp_path / "doc.json"
+        assert run(argv + ["--out", str(csv)]) == 0
+        assert run(argv + ["--format", "json", "--out", str(doc)]) == 0
+        data = json.loads(doc.read_text())
+        assert data == json.loads(csv.with_suffix(".json").read_text())
+        [row] = data["rows"]
+        assert row["count"] == 1 and row["n_max"] == [1]
+        assert row["xi0"][0] == pytest.approx(2.0 * np.pi, abs=1e-3)
+        assert row["error"] is None
 
 
 class TestVerifyCommand:

@@ -268,13 +268,14 @@ class TestBatchedDenseSamples:
 
     @staticmethod
     def _grid(t0, dx, direction, t_end):
-        # the sequential sums t0 + dx + dx + ... before t_end (1e-12 relative)
-        sums, t = [], t0
+        # the points t0 + k dx, k = 1, 2, ..., before t_end (1e-12 relative)
+        points, k = [], 1
         while True:
-            t += dx * direction
+            t = t0 + dx * direction * k
             if direction * (t_end - t) <= 1e-12 * max(1.0, abs(t_end)):
-                return sums
-            sums.append(t)
+                return points
+            points.append(t)
+            k += 1
 
     @staticmethod
     def _interpolant(rhs, steps, k):
@@ -367,26 +368,23 @@ class TestBatchedDenseSamples:
             assert res.n_steps == 2
             assert res.t.tolist() == np.linspace(*span, 7).tolist()
 
-    def test_grid_drift_past_the_count_estimate(self):
-        # 150,000 sums of 0.0013 fall behind the nominal grid by about 5e-12
-        # relative, more than the 1e-12 stop rule, so a grid point just
-        # beyond the step end nominally is a sample: the count estimated
-        # from the step length is one short and the grid must run on
+    def test_grid_does_not_drift(self):
+        # sequential sums of 0.0013 would fall behind the nominal grid by
+        # about 5e-12 relative after 150,000 terms; each sample is the
+        # product k dx instead, exactly
         def unit(t, y):
             return (1.0,)
 
         dx = 0.0013
-        end = dx * 150_001 - 1e-10
+        end = dx * 150_001.5
         res = integrate(unit, [0.0], (0.0, end),
                         config=IntegratorConfig(first_step=end, dense_dx=dx))
         assert res.n_steps == 1
-        grid = self._grid(0.0, dx, 1.0, end)
-        assert len(grid) == 150_001 and grid[-1] < end
-        assert res.t[1:-1].tolist() == grid
+        assert res.t[1:-1].tolist() == [dx * k for k in range(1, 150_002)]
 
     def test_grid_below_float_spacing(self):
-        # 1 + 1e-17 == 1: the sums never advance over a step longer than the
-        # 1e-12 stop distance, which is an error, not an endless grid
+        # 1 + 1e-17 == 1: the grid would not advance, which is an error, not
+        # an endless or repeating grid
         def unit(t, y):
             return (1.0,)
 

@@ -215,6 +215,16 @@ class TestForwardShot:
         # transversal vanishing: dg stays O(1) at the crossing
         assert abs(prof.dg[-1]) > 1e-3
 
+    @pytest.mark.parametrize("m", [2.0, 3.0])
+    def test_small_amplitude_orbit_is_exhausted(self, m):
+        # from a = 1e-3 the orbit is periodic about the equilibrium and
+        # returns to g = a^m with dg = 0: the floor, capped at 1e-3 of the
+        # launch amplitude, lies below it (uncapped, the shot ends at a false
+        # Interface near 12.48 at m = 2 and 9.42 at m = 3)
+        _, out = shoot_forward(Params(m, 0.0), 1e-3, xi_max=60.0,
+                               dense_dx=None)
+        assert out == Exhausted(60.0), out
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             shoot_forward(P20, -1.0)
@@ -395,6 +405,29 @@ class TestBackwardShot:
         assert len(prof.xi) - 1 <= 100
 
 
+def _assert_alternating(profile):
+    # maxima and minima interleave, at strictly increasing xi
+    points = sorted([(x, 1) for x in profile.maxima]
+                    + [(x, -1) for x in profile.minima])
+    for (xa, ka), (xb, kb) in zip(points, points[1:]):
+        assert xa < xb and ka != kb, points
+
+
+class TestExtrema:
+    @pytest.mark.parametrize("m, sigma, xi0", _LEADING_ORDER_CASES)
+    def test_alternate_on_dense_shots(self, m, sigma, xi0):
+        prof, out = shoot_backward(Params(m, sigma), xi0)
+        assert isinstance(out, ReachedOrigin), out
+        _assert_alternating(prof)
+
+    def test_alternate_on_good_profiles(self, counted_window):
+        # the two good profiles of acceptance check 2's window
+        found, _ = counted_window
+        assert len(found) == 2
+        for gp in found:
+            _assert_alternating(gp.profile)
+
+
 class TestSlopeFn:
     def test_sigma0_root(self):
         assert slope_fn(P20, explicit_interface_F0(2.0)) == \
@@ -555,6 +588,51 @@ class TestSearchTolerance:
         assert [gp.xi0 for gp in found] == [gp.xi0 for gp in want]
         assert [gp.n_max for gp in found] == [gp.n_max for gp in want]
         assert [gp.n_max for gp in want] == [1, 2]
+
+    def test_failed_loose_itp_evaluation_retried(self, monkeypatch):
+        # every ITP evaluation at the search tolerance fails: each is taken
+        # again at the caller's tolerance, and the roots are still found
+        slope_tol = 1e-4
+        grid = set(np.linspace(8.5, 16.5, 9).tolist())
+        original = shooting.slope_fn
+        calls = []
+
+        def failing(params, xi0, rel_tol):
+            calls.append((xi0, rel_tol))
+            if rel_tol != DEFAULT_REL_TOL and xi0 not in grid:
+                raise shooting.SlopeUnreliable("loose ITP evaluation")
+            return original(params, xi0, rel_tol=rel_tol)
+
+        monkeypatch.setattr(shooting, "slope_fn", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = find_good_profiles(P201, 8.5, 16.5, grid_n=9,
+                                       slope_tol=slope_tol)
+        assert [gp.n_max for gp in found] == [1, 2]
+        failed = [i for i, (x, tol) in enumerate(calls)
+                  if tol != DEFAULT_REL_TOL and x not in grid]
+        assert failed
+        for i in failed:
+            assert calls[i + 1] == (calls[i][0], DEFAULT_REL_TOL)
+
+    def test_root_discarded_when_its_cell_fails_again(self, monkeypatch):
+        # validation fails at the loose root and again at its cell's root
+        # at the caller's tolerance: the root is dropped with one warning
+        validated = []
+
+        def failing(params, xi0, slope_tol, rel_tol):
+            validated.append(xi0)
+            raise shooting.SlopeUnreliable("validation")
+
+        monkeypatch.setattr(shooting, "_validate_good", failing)
+        with pytest.warns(UserWarning, match="discarding root") as record:
+            found = find_good_profiles(P201, 8.5, 16.5, grid_n=9,
+                                       slope_tol=1e-4)
+        assert found == []
+        assert len(validated) == 4 and len(record) == 2
+        # each warning names the root of its cell's search at rel_tol
+        for rec, xi0 in zip(record, validated[1::2]):
+            assert f"xi0={xi0}:" in str(rec.message)
 
     def test_sigma0_past_4pi(self):
         # loose shots reach the axis beyond 4 pi, where those at the
