@@ -12,16 +12,18 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__, acceptance, phase, shooting
 from .analysis import integrate_orbit
-from .integrate import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, IntegrationError
+from .integrate import (_BLOCK_ROWS, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
+                        IntegrationError)
 from .model import Params, integral_identity_residual
 from .shooting import (Diverged, Interface, ReachedOrigin, ShotOutcome,
                        SlopeUnreliable, VerticalSlope)
@@ -47,11 +49,20 @@ def _fmt(x: float) -> str:
     return _FLOAT % float(x)
 
 
-def _write(path: Optional[Path], text: str) -> None:
+@contextlib.contextmanager
+def _opened(path: Optional[Path]) -> Iterator[TextIO]:
+    # the one output stream: stdout without a path, else the file, written
+    # with "\n" line ends
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        path.write_text(text, newline="\n")
+        with path.open("w", newline="\n") as stream:
+            yield stream
+
+
+def _write(path: Optional[Path], text: str) -> None:
+    with _opened(path) as stream:
+        stream.write(text)
 
 
 def _csv(path: Optional[Path], header: Sequence[str], rows) -> None:
@@ -64,12 +75,17 @@ def _csv(path: Optional[Path], header: Sequence[str], rows) -> None:
 
 
 def _float_csv(path: Optional[Path], header: Sequence[str],
-               table: np.ndarray) -> None:
-    # table is a float array, a row per line: all its values are formatted
-    # by one % operation over the flattened rows
+               columns: Sequence[np.ndarray]) -> None:
+    # columns are float arrays of equal length, one per header name.  The
+    # rows are written in blocks of _BLOCK_ROWS, the values of each block
+    # formatted by one % operation over its flattened rows, so the boxed
+    # values and the text held at once are a block's, not the table's
     row = ",".join([_FLOAT] * len(header)) + "\n"
-    _write(path, ",".join(header) + "\n"
-           + (row * len(table)) % tuple(table.ravel().tolist()))
+    with _opened(path) as stream:
+        stream.write(",".join(header) + "\n")
+        for b in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[b:b + _BLOCK_ROWS] for c in columns])
+            stream.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _json_out(path: Optional[Path], payload: dict) -> None:
@@ -134,7 +150,7 @@ def cmd_profile(args) -> int:
         out = Path(args.out) if args.out else None
         if out is None:
             raise UsageError("--out is required for csv output")
-        _float_csv(out, names, np.column_stack(columns))
+        _float_csv(out, names, columns)
         _json_out(_sidecar(out), meta)
     else:
         meta["samples"] = {name: col.tolist()
@@ -184,8 +200,8 @@ def cmd_phase(args) -> int:
     report = integrate_orbit(params, phase.PhaseState(x, y, z),
                              eta_max=args.eta_max, rel_tol=args.rel_tol,
                              abs_tol=abs_tol)
-    table = np.column_stack([report.eta, report.states,
-                             report.cylinder_values])
+    names = ["eta", "X", "Y", "Z", "cylinder_value"]
+    columns = [report.eta, *report.states.T, report.cylinder_values]
     meta = {
         "schema": SCHEMA,
         "command": "phase",
@@ -193,16 +209,16 @@ def cmd_phase(args) -> int:
         "sigma": params.sigma,
         "start": [x, y, z],
         "classification": report.classification,
-        "n_samples": len(table),
+        "n_samples": len(report.eta),
     }
     if args.format == "csv":
         out = Path(args.out) if args.out else None
         if out is None:
             raise UsageError("--out is required for csv output")
-        _float_csv(out, ["eta", "X", "Y", "Z", "cylinder_value"], table)
+        _float_csv(out, names, columns)
         _json_out(_sidecar(out), meta)
     else:
-        meta["samples"] = table.tolist()
+        meta["samples"] = np.column_stack(columns).tolist()
         _json_out(Path(args.out) if args.out else None, meta)
     return EXIT_OK
 

@@ -688,13 +688,17 @@ def find_good_profiles(params: Params, xi0_lo: float, xi0_hi: float,
         try:
             try:
                 out.append(_validate_good(params, r, slope_tol, rel_tol))
-            except (SlopeUnreliable, IntegrationError):
+            except (SlopeUnreliable, IntegrationError) as err:
                 if not margin:
                     raise
                 # L may have misplaced the root: search its cell at rel_tol
-                r = _cell_root(params, x_lo, x_hi, slope_tol, rel_tol)
-                if r is not None:
-                    out.append(_validate_good(params, r, slope_tol, rel_tol))
+                cell_root = _cell_root(params, x_lo, x_hi, slope_tol, rel_tol)
+                if cell_root is None:
+                    raise SlopeUnreliable(
+                        f"{err}; no root in its cell [{x_lo}, {x_hi}] at "
+                        f"rel_tol={rel_tol}") from err
+                r = cell_root
+                out.append(_validate_good(params, r, slope_tol, rel_tol))
         except (SlopeUnreliable, IntegrationError) as err:
             warnings.warn(f"discarding root at xi0={r}: {err}")
     return out

@@ -4,13 +4,65 @@ import numpy as np
 import pytest
 
 from blowup.cli import _csv, _float_csv, _outcome_dict, main
+from blowup.integrate import _BLOCK_ROWS
 from blowup.model import (Params, Profile, ForwardShot, explicit_profile_F0,
                           integral_identity_residual)
 from blowup.shooting import shoot_backward, shoot_forward
+from tracemem import peak_bytes
 
 
 def run(argv):
     return main(argv)
+
+
+class TestFloatCsvBlocks:
+    """The float-table writer formats its rows block by block; its bytes are
+    those of one % operation over the whole table."""
+
+    @staticmethod
+    def _table(n):
+        # magnitudes from 1e-300 to 1e300, with -0.0, subnormals, +-inf and
+        # nan on the first, last and block-edge rows
+        rng = np.random.default_rng(n)
+        table = (rng.standard_normal((n, 5))
+                 * 10.0 ** rng.integers(-300, 300, (n, 5)))
+        special = np.array([-0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan])
+        for i in {0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS, n - 1}:
+            if 0 <= i < n:
+                table[i] = np.roll(special, i)[:5]
+        return table
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                   _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
+    def test_bytes_of_one_format_operation(self, tmp_path, n):
+        table = self._table(n)
+        row = ",".join(["%.17g"] * 5) + "\n"
+        want = "a,b,c,d,e\n" + (row * n) % tuple(table.ravel().tolist())
+        out = tmp_path / "t.csv"
+        _float_csv(out, list("abcde"), table.T)
+        assert out.read_bytes() == want.encode()
+
+    def test_stdout_and_file_bytes(self, tmp_path, capsys):
+        # the writer's one stream path: stdout without a file
+        table = self._table(_BLOCK_ROWS + 1)
+        out = tmp_path / "t.csv"
+        _float_csv(out, list("abcde"), table.T)
+        _float_csv(None, list("abcde"), table.T)
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_long_profile_memory(self, tmp_path):
+        # the profile's own arrays and the quadrature's temporaries, not the
+        # boxed values and text of the whole table: the peak is about 3.2
+        # times the table's 8-byte values here, 9.6 times with the text
+        # built whole
+        out = tmp_path / "p.csv"
+        argv = ["profile", "--m", "2", "--sigma", "0.1", "--xi0", "78.624",
+                "--out", str(out)]
+        peak = peak_bytes(lambda: run(argv))
+        meta = json.loads(out.with_suffix(".json").read_text())
+        assert meta["outcome"]["kind"] == "reached_origin"
+        assert meta["n_samples"] > 78_000
+        assert peak <= 5 * meta["n_samples"] * 5 * 8
 
 
 class TestProfileCommand:
@@ -78,7 +130,7 @@ class TestProfileCommand:
         # the float-table path: the same specials, one per column, in rows
         # taken forward and reversed
         table = np.array([special, special[::-1]])
-        _float_csv(out, list("abcdefg"), table)
+        _float_csv(out, list("abcdefg"), table.T)
         rows = out.read_text().split("\n")
         assert rows[0] == "a,b,c,d,e,f,g"
         assert rows[1] == ",".join(format(float(v), ".17g") for v in special)
@@ -206,6 +258,18 @@ class TestPhaseCommand:
         assert data["n_samples"] == len(rows)
         del data["samples"]
         assert data == json.loads(csv.with_suffix(".json").read_text())
+
+    def test_stdout_and_out_bytes(self, tmp_path, capsys):
+        # without --out, phase writes its JSON document to stdout, the same
+        # bytes as to the file; its CSV needs --out
+        argv = ["phase", "--m", "2", "--sigma", "1", "--start",
+                "0.05,0.01,1.01", "--eta-max", "30", "--format", "json"]
+        out = tmp_path / "doc.json"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert run(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        assert run(argv[:-2]) == 2
+        assert "--out is required" in capsys.readouterr().err
 
     def test_bad_start(self, capsys):
         code = run(["phase", "--m", "2", "--sigma", "1", "--start", "oops"])

@@ -263,8 +263,9 @@ def _poly_ref(x, q):
 
 
 class TestBatchedDenseSamples:
-    """Dense samples are evaluated in one numpy pass when the trajectory is
-    returned; they must be exactly what a per-sample loop would produce."""
+    """Dense samples are evaluated in numpy blocks when the trajectory is
+    returned; they must be exactly what a per-sample loop and one numpy pass
+    over all samples would produce."""
 
     @staticmethod
     def _grid(t0, dx, direction, t_end):
@@ -291,7 +292,7 @@ class TestBatchedDenseSamples:
                                      rhs(t_new, y_new))
 
     def _check(self, rhs, y0, t_span, cfg, events=()):
-        from blowup.integrate import _dense_states
+        from blowup.integrate import _dense_poly, _dense_states
         res = integrate(rhs, y0, t_span, events=events, config=cfg)
         # the same accepted steps over the whole span, without samples
         steps = integrate(rhs, y0, t_span,
@@ -327,6 +328,14 @@ class TestBatchedDenseSamples:
             ref = [_poly_ref((s - t_old) / h, c) for c in q]
             assert y == ref
             assert list(_dense_states(q, t_old, h, [s])[0]) == ref
+
+        # one numpy pass over every sample, its coefficients gathered as
+        # (8, samples, components): the blocks change no bit
+        starts, widths, coef = (np.array(v) for v in zip(
+            *(coefs[k] for k in step_of.tolist())))
+        one_pass = _dense_poly(((samples - starts) / widths)[:, None],
+                               coef.transpose(2, 0, 1))
+        assert res.y[is_sample].tobytes() == one_pass.tobytes()
         return res, steps, samples
 
     def test_backward_profile_shot(self):
@@ -354,6 +363,34 @@ class TestBatchedDenseSamples:
         k = int(np.searchsorted(steps.t, t_term))
         assert steps.t[k] > samples[-1] + 2 * cfg.dense_dx
         assert samples[-1] > steps.t[k - 1]
+
+    @pytest.mark.parametrize("case", ["backward", "forward", "terminal"])
+    def test_more_than_three_blocks(self, case):
+        # a backward profile shot, a forward orbit, and a terminal event
+        # inside a step, each with more than three blocks of samples
+        from blowup.integrate import _BLOCK_ROWS
+        from blowup.shooting import interface_series, profile_rhs
+        events = ()
+        if case == "backward":
+            params, xi0 = Params(2.0, 0.1), 16.0
+            eps = 1e-6 * xi0
+            g0, dg0 = interface_series(params, xi0).state(eps)
+            rhs, y0, t_span = profile_rhs(params), [g0, dg0], (xi0 - eps, 0.0)
+            cfg = IntegratorConfig(
+                abs_tol=np.array([1e-8 * g0, 1e-8 * abs(dg0)]), dense_dx=1e-3)
+        else:
+            rhs, y0, t_span = _oscillator, [1.0, 0.0], (0.0, 20.0)
+            cfg = IntegratorConfig(dense_dx=1e-3)
+            if case == "terminal":
+                events = (Event(EventKind.SECTION_CROSS, lambda t, y: y[0],
+                                direction=-1, terminal=True),)
+                cfg = IntegratorConfig(dense_dx=1e-4)
+        res, steps, samples = self._check(rhs, y0, t_span, cfg, events)
+        assert len(samples) > 3 * _BLOCK_ROWS
+        if case == "terminal":
+            # the event ends the trajectory inside a step
+            assert res.reason == "terminal_event"
+            assert res.t[-1] not in steps.t
 
     def test_grid_points_on_step_ends_are_not_repeated(self):
         # y' = 1 is integrated exactly, so the first step is first_step = 0.5

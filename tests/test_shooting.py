@@ -20,6 +20,8 @@ from blowup.shooting import (DEFAULT_SLOPE_TOL, EPS_REL, HANDOFF_TOL,
                              series_constant, series_exponent, shoot_backward,
                              shoot_forward, slope_fn)
 
+from tracemem import peak_bytes
+
 INTEGRATE = importlib.import_module("blowup.integrate")
 P20 = Params(m=2.0, sigma=0.0)
 P201 = Params(m=2.0, sigma=0.1)
@@ -358,6 +360,15 @@ class TestBackwardShot:
         assert len(prof.maxima) == 1
         assert prof.maxima == (0.0,)
 
+    def test_dense_shot_memory(self):
+        # the long dense shot's temporaries stay near its profile's size:
+        # about 3.2 times its xi, g and dg arrays here, against 10 times with
+        # the samples' coefficients gathered at once as (8, samples, 2)
+        prof, _ = shoot_backward(P201, 78.624)
+        assert len(prof.xi) > 78_000
+        arrays = prof.xi.nbytes + prof.g.nbytes + prof.dg.nbytes
+        assert peak_bytes(lambda: shoot_backward(P201, 78.624)) <= 6 * arrays
+
     def test_interface_annotations(self):
         prof, _ = shoot_backward(P20, 2.0 * np.pi)
         assert prof.interface == pytest.approx(2.0 * np.pi)
@@ -633,6 +644,28 @@ class TestSearchTolerance:
         # each warning names the root of its cell's search at rel_tol
         for rec, xi0 in zip(record, validated[1::2]):
             assert f"xi0={xi0}:" in str(rec.message)
+
+    def test_root_discarded_when_its_cell_has_no_root(self, monkeypatch):
+        # validation fails at the loose root and its cell, searched again at
+        # the caller's tolerance, shows no root: still one warning per root
+        def failing(params, xi0, slope_tol, rel_tol):
+            raise shooting.SlopeUnreliable("validation")
+
+        monkeypatch.setattr(shooting, "_validate_good", failing)
+        monkeypatch.setattr(shooting, "_cell_root", lambda *args: None)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            found = find_good_profiles(P201, 8.5, 16.5, grid_n=9,
+                                       slope_tol=1e-4)
+        assert found == []
+        messages = [str(rec.message) for rec in record]
+        # the two roots of the window, 9.635 and 15.385, each named once
+        assert len(messages) == 2, messages
+        for message, near in zip(messages, (9.635, 15.385)):
+            assert message.startswith("discarding root at xi0=")
+            xi0 = float(message.split("=")[1].split(":")[0])
+            assert xi0 == pytest.approx(near, abs=1e-2)
+            assert "no root in its cell" in message
 
     def test_sigma0_past_4pi(self):
         # loose shots reach the axis beyond 4 pi, where those at the
