@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, TextIO
+from typing import (Iterator, List, NamedTuple, Optional, Sequence, TextIO,
+                    Tuple)
 
 import numpy as np
 
@@ -74,18 +76,215 @@ def _csv(path: Optional[Path], header: Sequence[str], rows) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
+# _FLOAT % v in numpy, for the float tables of _float_csv.  A value with
+# 1e-280 <= |v| <= 1e280 has the decimal exponent e = floor(log10 |v|) and
+# the 17 digits D = round(|v| 10^(16-e)) in [10^16, 10^17).  |v| 10^(16-e)
+# is formed as p + t, Dekker's exact product of |v| with hi plus |v| lo,
+# where hi + lo = 10^(16-e) to about 2^-106; p is an integer and t is off
+# its exact value by about 1e-14, so D = p + round(t) is the correctly
+# rounded one unless t is within 1e-6 of a half.  Such near-ties, nan,
+# +-inf, +-0 and the values outside that range go through _FLOAT % v one
+# by one, so _FLOAT stays the one definition of the text.
+#
+# The text of a value is laid out in a row of _TEXT_WIDTH bytes.  Column 0
+# holds a "-", kept for negative values.  In fixed notation (-4 <= e <= 16)
+# the digits and "." follow at columns fixed by e; a scientific value has
+# the layout of e = 0 followed by "e", the exponent's sign and at least two
+# of its digits.  The rows are sorted by that layout class (a stable int8
+# argsort), so that each class writes its columns as slices, and unsorted.
+# A separator follows the last kept digit, and a mask keeps the columns
+# from the sign through the separator.
+
+#: 10^k is tabled for k = 16 - e from _POW10_MIN to 297 (|e| <= 281)
+_POW10_MIN = -265
+#: the longest text of _FLOAT, "-1.2345678901234567e-308", and a separator
+_TEXT_WIDTH = 25
+#: Dekker's splitter 2^27 + 1: a double is the sum of two 26-bit halves
+_SPLIT = 134217729.0
+
+
+class _G17Tables(NamedTuple):
+    hi: np.ndarray      # 10^k rounded, at index k - _POW10_MIN
+    hi_top: np.ndarray  # hi split in two 26-bit halves for Dekker's product
+    hi_low: np.ndarray
+    lo: np.ndarray      # 10^k - hi, rounded
+    digits: np.ndarray  # "%04d" % i as 4 bytes in a uint32, i < 10000
+    zeros: np.ndarray   # the trailing zeros of "%04d" % i
+    end: np.ndarray     # end of the text at [class * 18 + digit count]
+    masks: np.ndarray   # columns start to stop - 1 as one void of 0 and 1
+    #                     bytes, at [start * (_TEXT_WIDTH + 1) + stop]
+
+
+@functools.lru_cache(maxsize=None)
+def _g17_tables() -> _G17Tables:
+    # built on first use, from integers
+    hi, lo = [], []
+    for k in range(_POW10_MIN, 298):
+        if k >= 0:
+            h = float(10 ** k)
+            hi.append(h)
+            lo.append(float(10 ** k - int(h)))
+        else:
+            n = 10 ** -k
+            h = 1 / n
+            num, den = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((den - num * n) / (den * n))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_top = c - (c - hi)
+    i = np.arange(10000)
+    words = (np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
+             + ord("0")).astype(np.uint8)
+    nd = np.arange(18)
+    end = np.zeros((23, 18), np.intp)
+    for c in range(-4, 17):
+        end[c + 4] = np.where(nd > c + 1, nd + 2, c + 2) if c >= 0 \
+            else 2 - c + nd
+    end[21] = end[4]
+    masks = np.zeros((2, _TEXT_WIDTH + 1, _TEXT_WIDTH), np.uint8)
+    for start in (0, 1):
+        for stop in range(start, _TEXT_WIDTH + 1):
+            masks[start, stop, start:stop] = 1
+    return _G17Tables(
+        hi, hi_top, hi - hi_top, np.array(lo),
+        words.view(np.uint32).ravel(),
+        np.cumprod(words[:, ::-1] == ord("0"), axis=1).sum(axis=1).astype(
+            np.int8),
+        end.ravel(), masks.view(f"V{_TEXT_WIDTH}").ravel())
+
+
+def _times_pow10(a: np.ndarray, i: np.ndarray,
+                 tables: _G17Tables) -> Tuple[np.ndarray, np.ndarray]:
+    # a 10^k as p + t: p = fl(a hi), and t the error of p (exact, Dekker)
+    # plus a lo; i indexes k in the tables
+    hi = tables.hi[i]
+    p = a * hi
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    hh, hl = tables.hi_top[i], tables.hi_low[i]
+    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * tables.lo[i]
+
+
+def _g17(v: np.ndarray, sep: int, text: np.ndarray) -> np.ndarray:
+    """Write the text of _FLOAT % x and then the byte sep for each x in v to
+    the rows of text, and return the index of each row's mask in
+    _g17_tables().masks."""
+    tables = _g17_tables()
+    digits = tables.digits
+    n = len(v)
+    a = np.abs(v)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    p, t = _times_pow10(a, (16 - _POW10_MIN) - e, tables)
+    # log10 may miss e by one next to a power of ten
+    shift = (((p > 1e17) | ((p == 1e17) & (t >= 0))).view(np.int8)
+             - ((p < 1e16) | ((p == 1e16) & (t < 0))).view(np.int8))
+    redo = np.flatnonzero(shift)
+    if redo.size:
+        e[redo] += shift[redo]
+        p[redo], t[redo] = _times_pow10(a[redo], (16 - _POW10_MIN) - e[redo],
+                                        tables)
+    whole = np.floor(t)
+    frac = t - whole
+    fast &= np.abs(frac - 0.5) > 1e-6
+    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry
+
+    # layout class: e + 4 in fixed notation, 21 scientific, 22 fallback;
+    # from here on the rows are in the order of their classes
+    layout = np.where(fast, np.where((e < -4) | (e > 16), 21, e + 4), 22)
+    order = np.argsort(layout.astype(np.int8), kind="stable")
+    counts = np.bincount(layout, minlength=23)
+    first = np.cumsum(counts) - counts
+    d, e, v, layout = d[order], e[order], v[order], layout[order]
+
+    # the digits in groups of 4, the first group d0 alone, as bytes (d0 the
+    # last of its 4), and the end of each text from its class and the count
+    # of digits through the last nonzero one
+    groups = np.empty((n, 5), np.int32)
+    top = d // 10 ** 8
+    low = (d - top * 10 ** 8).astype(np.int32)
+    top = top.astype(np.int32)
+    groups[:, 0] = q = top // 10 ** 8
+    top -= q * 10 ** 8
+    groups[:, 1] = q = top // 10 ** 4
+    groups[:, 2] = top - q * 10 ** 4
+    groups[:, 3] = q = low // 10 ** 4
+    groups[:, 4] = low - q * 10 ** 4
+    x = digits[groups].view(np.uint8).reshape(n, 20)[:, 3:]
+    zeros = tables.zeros[groups[:, 4]]
+    for j in (3, 2, 1):
+        more = np.flatnonzero(zeros == 4 * (4 - j))
+        zeros[more] += tables.zeros[groups[more, j]]
+    end = tables.end[layout * 18 + 17 - zeros]
+
+    out = np.empty((n, _TEXT_WIDTH), np.uint8)
+    out[:, 0] = ord("-")
+    for k in np.flatnonzero(counts[:22]):
+        rows = slice(first[k], first[k] + counts[k])
+        c = 0 if k == 21 else k - 4
+        if c >= 0:
+            out[rows, 1:c + 2] = x[rows, :c + 1]
+            out[rows, c + 2] = ord(".")
+            out[rows, c + 3:19] = x[rows, c + 1:]
+        else:
+            out[rows, 1:2 - c] = np.frombuffer(b"0." + b"0" * (-c - 1),
+                                               np.uint8)
+            out[rows, 2 - c:19 - c] = x[rows]
+    flat = out.ravel()
+    sci = slice(first[21], first[22])
+    if counts[21]:
+        # "e", the sign, and the last 2 or 3 of the exponent's 4 digits,
+        # written before the sign so that a leading 0 lands under it
+        exp = np.abs(e[sci])
+        three = exp >= 100
+        at = np.arange(first[21], first[22]) * _TEXT_WIDTH + end[sci]
+        exp_digits = digits[exp].view(np.uint8).reshape(-1, 4)
+        for j in (1, 2, 3):
+            flat[at + three + j] = exp_digits[:, j]
+        flat[at + 1] = np.where(e[sci] < 0, ord("-"), ord("+"))
+        flat[at] = ord("e")
+        end[sci] += 4 + three
+    slow = slice(first[22], n)
+    if counts[22]:
+        words = [(_FLOAT % y).encode() for y in v[slow].tolist()]
+        out[slow] = np.array(words, f"S{_TEXT_WIDTH}").view(
+            np.uint8).reshape(-1, _TEXT_WIDTH)
+        end[slow] = [len(w) for w in words]
+    flat[np.arange(0, n * _TEXT_WIDTH, _TEXT_WIDTH) + end] = sep
+    text.view(f"V{_TEXT_WIDTH}")[order] = out.view(f"V{_TEXT_WIDTH}")
+    start = v > 0
+    start[slow] = False
+    keep = np.empty(n, np.intp)
+    keep[order] = start * (_TEXT_WIDTH + 1) + end + 1
+    return keep
+
+
 def _float_csv(path: Optional[Path], header: Sequence[str],
                columns: Sequence[np.ndarray]) -> None:
     # columns are float arrays of equal length, one per header name.  The
-    # rows are written in blocks of _BLOCK_ROWS, the values of each block
-    # formatted by one % operation over its flattened rows, so the boxed
-    # values and the text held at once are a block's, not the table's
-    row = ",".join([_FLOAT] * len(header)) + "\n"
+    # rows are written in blocks of _BLOCK_ROWS, so the text held at once is
+    # a block's; each value reads _FLOAT % v, with "," between the values of
+    # a row and "\n" after each row
+    masks = _g17_tables().masks
+    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     with _opened(path) as stream:
         stream.write(",".join(header) + "\n")
         for b in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = np.column_stack([c[b:b + _BLOCK_ROWS] for c in columns])
-            stream.write((row * len(block)) % tuple(block.ravel().tolist()))
+            block = [np.asarray(c[b:b + _BLOCK_ROWS], np.float64)
+                     for c in columns]
+            text = np.empty((len(block[0]), len(block), _TEXT_WIDTH),
+                            np.uint8)
+            keep = np.empty(text.shape[:2], np.intp)
+            for j, (v, sep) in enumerate(zip(block, seps)):
+                keep[:, j] = _g17(v, sep, text[:, j])
+            stream.write(text.ravel()[masks[keep.ravel()].view(bool)]
+                         .tobytes().decode("ascii"))
 
 
 def _json_out(path: Optional[Path], payload: dict) -> None:
@@ -345,8 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so main builds it once
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (IntegrationError, SlopeUnreliable, OverflowError) as err:

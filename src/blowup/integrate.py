@@ -98,12 +98,13 @@ MAX_STEPS = 10_000_000
 DEFAULT_REL_TOL = 1e-10
 #: default absolute tolerance of integrate, forward shots and orbits
 DEFAULT_ABS_TOL = 1e-12
-#: rows per block of the two tables built or written in blocks, the dense
-#: samples of _with_samples and the rows of cli._float_csv.  On the 78,935
-#: rows of `blowup profile --m 2 --sigma 0.1 --xi0 78.624` the writer's
-#: tracemalloc peak is 0.36, 1.4, 5.7 and 23 MB at 1,024, 4,096, 16,384 and
-#: 65,536 rows per block (24 MB unblocked), and neither the writer's time
-#: (0.17-0.19 s) nor the shot's (20 ms) moves between 256 rows and one block
+#: rows per block of the tables built, written or summed in blocks: the
+#: dense samples of _with_samples, the rows of cli._float_csv and the cells
+#: of model.weighted_g_square_integral.  On the 78,935 rows of
+#: `blowup profile --m 2 --sigma 0.1 --xi0 78.624` the writer's tracemalloc
+#: peak is 0.41, 1.6, 6.4 and 26 MB at 1,024, 4,096, 16,384 and 65,536 rows
+#: per block and its time 179, 79, 78 and 112 ms; the shot's time (20 ms)
+#: does not move between 256 rows and one block
 _BLOCK_ROWS = 4096
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10),

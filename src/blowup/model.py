@@ -23,6 +23,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .integrate import _BLOCK_ROWS
+
 __all__ = [
     "Params",
     "ForwardShot",
@@ -265,33 +267,47 @@ def weighted_g_square_integral(params: Params, xi: np.ndarray, g: np.ndarray,
     adds no cancellation error.
     """
     s = params.sigma
-    a = np.asarray(xi[:-1], dtype=float)
-    b = np.asarray(xi[1:], dtype=float)
-    h = b - a
-    if a.size == 0:
+    xi = np.asarray(xi, dtype=float)
+    n = len(xi) - 1
+    if n <= 0:
         return 0.0
 
-    G = g * g
-    dG = 2.0 * g * dg
-    Ga, Gb = G[:-1], G[1:]
-    dGa, dGb = dG[:-1], dG[1:]
-
-    far = a > AXIS_CELLS * h
-    af, hf = a[far], h[far]
-    Gaf, Gbf, dGaf, dGbf = Ga[far], Gb[far], dGa[far], dGb[far]
+    # the far cells' summands at the four nodes are evaluated in blocks of
+    # cells into one preallocated array and each node's row is summed once
+    # as a whole: the temporaries are a block's, and each sum has the bits
+    # of the unblocked formula
+    blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)]
+    far = np.empty(n, dtype=bool)
+    for r in blocks:
+        a = xi[:-1][r]
+        far[r] = a > AXIS_CELLS * (xi[1:][r] - a)
+    summands = np.empty((len(_GL_NODES), int(np.count_nonzero(far))))
+    filled = 0
+    for r in blocks:
+        cells = np.flatnonzero(far[r]) + r.start
+        af, hf = xi[cells], xi[cells + 1] - xi[cells]
+        Gaf, Gbf = g[cells] * g[cells], g[cells + 1] * g[cells + 1]
+        dGaf = 2.0 * g[cells] * dg[cells]
+        dGbf = 2.0 * g[cells + 1] * dg[cells + 1]
+        for j, x in enumerate(_GL_NODES):
+            h00 = (1.0 + 2.0 * x) * (1.0 - x) ** 2
+            h10 = x * (1.0 - x) ** 2
+            h01 = x * x * (3.0 - 2.0 * x)
+            h11 = x * x * (x - 1.0)
+            model = h00 * Gaf + h01 * Gbf + (h10 * dGaf + h11 * dGbf) * hf
+            summands[j, filled:filled + len(cells)] = \
+                model * hf * (af + x * hf) ** (s - 1.0)
+        filled += len(cells)
     total = 0.0
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        h00 = (1.0 + 2.0 * x) * (1.0 - x) ** 2
-        h10 = x * (1.0 - x) ** 2
-        h01 = x * x * (3.0 - 2.0 * x)
-        h11 = x * x * (x - 1.0)
-        model = h00 * Gaf + h01 * Gbf + (h10 * dGaf + h11 * dGbf) * hf
-        total += w * float(np.sum(model * hf * (af + x * hf) ** (s - 1.0)))
+    for w, summand in zip(_GL_WEIGHTS, summands):
+        total += w * float(np.sum(summand))
     total *= s
 
-    near = ~far
-    a, b, h = a[near], b[near], h[near]
-    Ga, Gb, dGa, dGb = Ga[near], Gb[near], dGa[near], dGb[near]
+    near = np.flatnonzero(~far)
+    a, b = xi[near], xi[near + 1]
+    h = b - a
+    Ga, Gb = g[near] * g[near], g[near + 1] * g[near + 1]
+    dGa, dGb = 2.0 * g[near] * dg[near], 2.0 * g[near + 1] * dg[near + 1]
 
     # cubic Hermite coefficients in t = xi - a
     c0 = Ga

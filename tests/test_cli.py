@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blowup.cli import _csv, _float_csv, _outcome_dict, main
+from blowup import cli
+from blowup.cli import (_FLOAT, _csv, _float_csv, _g17_tables, _outcome_dict,
+                        build_parser, main)
 from blowup.integrate import _BLOCK_ROWS
 from blowup.model import (Params, Profile, ForwardShot, explicit_profile_F0,
                           integral_identity_residual)
@@ -51,10 +58,9 @@ class TestFloatCsvBlocks:
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_long_profile_memory(self, tmp_path):
-        # the profile's own arrays and the quadrature's temporaries, not the
-        # boxed values and text of the whole table: the peak is about 3.2
-        # times the table's 8-byte values here, 9.6 times with the text
-        # built whole
+        # the shot's own arrays and temporaries, not the boxed values and
+        # text of the whole table: the peak is about 2 times the table's
+        # 8-byte values here, 9.6 times with the text built whole
         out = tmp_path / "p.csv"
         argv = ["profile", "--m", "2", "--sigma", "0.1", "--xi0", "78.624",
                 "--out", str(out)]
@@ -63,6 +69,88 @@ class TestFloatCsvBlocks:
         assert meta["outcome"]["kind"] == "reached_origin"
         assert meta["n_samples"] > 78_000
         assert peak <= 5 * meta["n_samples"] * 5 * 8
+
+
+def _percent(table):
+    # the text of one % operation over the table's values
+    n, w = table.shape
+    row = ",".join([_FLOAT] * w) + "\n"
+    return (row * n) % tuple(table.ravel().tolist())
+
+
+def _written(table):
+    # the text _float_csv writes for the table's rows, header aside
+    header = [f"c{j}" for j in range(table.shape[1])]
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        _float_csv(None, header, list(table.T))
+    head, _, body = text.getvalue().partition("\n")
+    assert head == ",".join(header)
+    return body
+
+
+def _curated():
+    # +-0, the exact decimal tie 2**-25, powers of ten and their neighbours
+    # at every exponent (the notation boundaries 1e-5/1e-4 and 1e16/1e17
+    # and the fast path's edges 1e-280/1e280 among them), integers in
+    # [1e16, 1e17), 18-digit decimal midpoints and their neighbours
+    rng = np.random.default_rng(23)
+    vals = [0.0, 2.0 ** -25, 99999999999999984.0, 1e16 + 2.0]
+    for k in range(-323, 309):
+        p = float(f"1e{k}")
+        vals += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    vals += rng.integers(10 ** 16, 10 ** 17, 2000).astype(float).tolist()
+    for d, k in zip(rng.integers(10 ** 16, 10 ** 17, 2000),
+                    rng.integers(-300, 300, 2000)):
+        mid = float(f"{d}5e{k}")
+        vals += [mid, np.nextafter(mid, 0.0), np.nextafter(mid, np.inf)]
+    vals = np.array(vals + [-v for v in vals])
+    return np.resize(vals, (len(vals) + 4) // 5 * 5).reshape(-1, 5)
+
+
+class TestFloatCsvText:
+    """The numpy %.17g of the float-table writer against _FLOAT % v, value
+    by value: the same text for every float64."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.lists(
+        st.one_of(st.integers(0, 2 ** 64 - 1).map(
+            lambda b: float(np.array(b, np.uint64).view(np.float64))),
+            st.floats(allow_nan=True, allow_infinity=True,
+                      allow_subnormal=True)),
+        min_size=1, max_size=80))
+    def test_bit_patterns(self, width, values):
+        rows = max(len(values) // width, 1)
+        table = np.resize(np.array(values), rows * width).reshape(rows, width)
+        assert _written(table) == _percent(table)
+
+    def test_curated_values(self):
+        table = _curated()
+        assert _written(table) == _percent(table)
+
+    def test_exact_tie_rounds_to_even(self):
+        # 2**-25 = 2.98023223876953125e-08 has 18 digits ending in 5
+        table = np.array([[2.0 ** -25, -2.0 ** -25, 0.0, -0.0]])
+        assert _written(table) == \
+            "2.9802322387695312e-08,-2.9802322387695312e-08,0,-0\n"
+
+    @pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                      _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    def test_table_shapes(self, rows, width):
+        bits = np.random.default_rng(rows).integers(
+            0, 2 ** 64, rows * width, dtype=np.uint64)
+        table = bits.view(np.float64).reshape(rows, width)
+        assert _written(table) == _percent(table)
+
+    def test_pow10_table(self):
+        # hi + lo is 10^k to within 2^-104 of it, for every tabled k
+        tables = _g17_tables()
+        for i, (h, l) in enumerate(zip(tables.hi.tolist(),
+                                       tables.lo.tolist())):
+            k = i + cli._POW10_MIN
+            exact = Fraction(10) ** k
+            assert abs(Fraction(h) + Fraction(l) - exact) <= exact * 2 ** -104
 
 
 class TestProfileCommand:
@@ -312,6 +400,31 @@ class TestVerifyCommand:
         assert code == 0
         assert "[PASS] check  6" in out
         assert "[PASS] check  7" in out
+
+
+class TestParser:
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(["bounds", "--m", "2", "--sigma", "4"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+        outputs = capsys.readouterr().out.split("}\n")
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_build_parser_stays_public(self):
+        args = build_parser().parse_args(["verify", "--check", "5"])
+        assert args.check == [5] and args.seed == 0
+        assert build_parser() is not build_parser()
 
 
 class TestUsageErrors:

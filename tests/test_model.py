@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from blowup.model import (ForwardShot, Params, Profile,
+import blowup.model
+from blowup.integrate import _BLOCK_ROWS
+from blowup.model import (AXIS_CELLS, ForwardShot, Params, Profile,
                           explicit_interface_F0, explicit_profile_F0,
                           hyperbola_equilibrium, hyperbola_phi_max,
                           integral_identity_residual, rhs_g,
                           weighted_g_square_integral)
-from blowup.shooting import profile_rhs
+from blowup.shooting import profile_rhs, shoot_backward
+from tracemem import peak_bytes
 
 
 class TestParams:
@@ -209,6 +212,91 @@ class TestWeightedIntegral:
             return weighted_g_square_integral(params, x, g, dg)
 
         assert integral(split) == pytest.approx(integral(xs), rel=1e-12)
+
+
+def _unblocked_integral(params, xi, g, dg):
+    # weighted_g_square_integral as one formula over all cells at once: the
+    # reference for the bits of the blocked evaluation
+    s = params.sigma
+    a, b = xi[:-1], xi[1:]
+    h = b - a
+    if a.size == 0:
+        return 0.0
+    G, dG = g * g, 2.0 * g * dg
+    Ga, Gb, dGa, dGb = G[:-1], G[1:], dG[:-1], dG[1:]
+    far = a > AXIS_CELLS * h
+    af, hf = a[far], h[far]
+    Gaf, Gbf, dGaf, dGbf = Ga[far], Gb[far], dGa[far], dGb[far]
+    total = 0.0
+    for x, w in zip(blowup.model._GL_NODES, blowup.model._GL_WEIGHTS):
+        h00 = (1.0 + 2.0 * x) * (1.0 - x) ** 2
+        h10 = x * (1.0 - x) ** 2
+        h01 = x * x * (3.0 - 2.0 * x)
+        h11 = x * x * (x - 1.0)
+        model = h00 * Gaf + h01 * Gbf + (h10 * dGaf + h11 * dGbf) * hf
+        total += w * float(np.sum(model * hf * (af + x * hf) ** (s - 1.0)))
+    total *= s
+    near = ~far
+    a, b, h = a[near], b[near], h[near]
+    Ga, Gb, dGa, dGb = Ga[near], Gb[near], dGa[near], dGb[near]
+    c2 = 3.0 * (Gb - Ga) / h**2 - (2.0 * dGa + dGb) / h
+    c3 = -2.0 * (Gb - Ga) / h**3 + (dGa + dGb) / h**2
+    pw = blowup.model._powm1
+    n0 = (pw(b, s + 1.0) - pw(a, s + 1.0)) / (s + 1.0)
+    n1 = (pw(b, s + 2.0) - pw(a, s + 2.0)) / (s + 2.0) - a * n0
+    n2 = ((pw(b, s + 3.0) - pw(a, s + 3.0)) / (s + 3.0)
+          - 2.0 * a * (pw(b, s + 2.0) - pw(a, s + 2.0)) / (s + 2.0)
+          + a * a * n0)
+    bs = pw(b, s)
+    m0 = bs - pw(a, s)
+    m1 = h * bs - n0
+    m2 = h * h * bs - 2.0 * n1
+    m3 = h * h * h * bs - 3.0 * n2
+    return total + float(np.sum(Ga * m0 + dGa * m1 + c2 * m2 + c3 * m3))
+
+
+@pytest.fixture(scope="module")
+def long_profile():
+    # `blowup profile --m 2 --sigma 0.1 --xi0 78.624`: 78,935 samples
+    prof, _ = shoot_backward(Params(2.0, 0.1), 78.624)
+    return prof
+
+
+class TestWeightedIntegralBlocks:
+    """The far cells are evaluated in blocks of _BLOCK_ROWS; the integral
+    keeps the bits of the formula over all cells at once."""
+
+    def test_long_profile_residual_bits(self, long_profile, monkeypatch):
+        xi0 = float(long_profile.xi[-1])
+        blocked = integral_identity_residual(long_profile, xi0)
+        monkeypatch.setattr(blowup.model, "weighted_g_square_integral",
+                            _unblocked_integral)
+        assert blocked.hex() == \
+            integral_identity_residual(long_profile, xi0).hex()
+
+    @pytest.mark.parametrize("n", [2, 3, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   _BLOCK_ROWS + 2, 3 * _BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.7, 3.0])
+    def test_bits_across_block_edges(self, n, sigma):
+        # a nonuniform grid from the axis with one long cell halfway, so
+        # that near cells (a <= 4 h) sit at the start and among far cells
+        rng = np.random.default_rng(n)
+        steps = rng.uniform(0.5, 1.5, n - 1)
+        steps[len(steps) // 2] += steps[:len(steps) // 2].sum()
+        xs = np.concatenate([[0.0], np.cumsum(steps)])
+        xs *= 3.0 / xs[-1]
+        g, dg = 2.0 + np.cos(xs), -np.sin(xs)
+        params = Params(2.0, sigma)
+        assert weighted_g_square_integral(params, xs, g, dg).hex() == \
+            _unblocked_integral(params, xs, g, dg).hex()
+
+    def test_memory(self, long_profile):
+        # about 4.8 of the profile's 8-byte columns (the four nodes' summands
+        # and a block's temporaries), 13 with all cells at once
+        p = long_profile
+        peak = peak_bytes(lambda: weighted_g_square_integral(
+            p.params, p.xi, p.g, p.dg))
+        assert peak <= 6 * p.xi.nbytes, peak / p.xi.nbytes
 
 
 class TestIntegralIdentity:
