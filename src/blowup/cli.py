@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: profile, scan, phase, points, bounds, verify.  Data is emitted
-as CSV (with a JSON metadata sidecar) or as a single JSON document; all
-floating-point output uses 17 significant digits so identical invocations
-produce byte-identical files.
+as CSV (with a JSON metadata sidecar) or as a single JSON document.  A float
+in a CSV reads "%.17g" % v, 17 significant digits; a float in JSON is
+Python's shortest repr, as json.dumps writes it.  Both texts are
+deterministic, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 verification
 failure.
@@ -86,31 +87,41 @@ def _csv(path: Optional[Path], header: Sequence[str], rows) -> None:
 # +-inf, +-0 and the values outside that range go through _FLOAT % v one
 # by one, so _FLOAT stays the one definition of the text.
 #
-# The text of a value is laid out in a row of _TEXT_WIDTH bytes.  Column 0
-# holds a "-", kept for negative values.  In fixed notation (-4 <= e <= 16)
-# the digits and "." follow at columns fixed by e; a scientific value has
-# the layout of e = 0 followed by "e", the exponent's sign and at least two
-# of its digits.  The rows are sorted by that layout class (a stable int8
-# argsort), so that each class writes its columns as slices, and unsorted.
-# A separator follows the last kept digit, and a mask keeps the columns
-# from the sign through the separator.
+# The text of a value is laid out in a row of _TEXT_WIDTH bytes, in words
+# gathered from tables.  Columns 8-23 hold the digits of D after the first,
+# d0, in groups of 4.  Columns 0-7 depend on d0 and on the value's class of
+# layout: e + 4 in fixed notation (-4 <= e <= 16), then _SCI and _SLOW.
+# When e < 0 they end in "-0.", -e - 1 zeros and d0 (e = -3: "-0.00d0");
+# when e >= 0 or the value is scientific, in "-d0.".  The "-" is kept for
+# negative values only.  When e >= 1, the e digits after d0 are moved one
+# column left and the "." follows them.  A scientific value is followed by
+# "e", the exponent's sign and at least two of its digits.  A separator
+# follows the last kept digit, and a mask keeps the columns from the sign
+# through the separator.  All rows of a block are laid out by the same
+# numpy operations, whatever their classes.
 
 #: 10^k is tabled for k = 16 - e from _POW10_MIN to 297 (|e| <= 281)
 _POW10_MIN = -265
-#: the longest text of _FLOAT, "-1.2345678901234567e-308", and a separator
-_TEXT_WIDTH = 25
+#: 8 words of 4 bytes: the longest text of _FLOAT, "-1.2345678901234567e-308",
+#: starts at column 5 and is followed by a separator
+_TEXT_WIDTH = 32
 #: Dekker's splitter 2^27 + 1: a double is the sum of two 26-bit halves
 _SPLIT = 134217729.0
+#: the layout classes after the fixed ones, e + 4 for -4 <= e <= 16
+_SCI, _SLOW = 21, 22
 
 
 class _G17Tables(NamedTuple):
     hi: np.ndarray      # 10^k rounded, at index k - _POW10_MIN
-    hi_top: np.ndarray  # hi split in two 26-bit halves for Dekker's product
-    hi_low: np.ndarray
+    hi_top: np.ndarray  # the upper 26-bit half of hi, for Dekker's product
     lo: np.ndarray      # 10^k - hi, rounded
+    layout: np.ndarray  # the class of e = 16 - k, at the index of k
+    lead: np.ndarray    # columns 0-7 as a uint64, at [class * 10 + d0]
     digits: np.ndarray  # "%04d" % i as 4 bytes in a uint32, i < 10000
     zeros: np.ndarray   # the trailing zeros of "%04d" % i
-    end: np.ndarray     # end of the text at [class * 18 + digit count]
+    sign: np.ndarray    # by class: the column of the "-"
+    head: np.ndarray    # by class: the digits moved one column left
+    end: np.ndarray     # end of the text at [class * 17 + trailing zeros]
     masks: np.ndarray   # columns start to stop - 1 as one void of 0 and 1
     #                     bytes, at [start * (_TEXT_WIDTH + 1) + stop]
 
@@ -132,26 +143,33 @@ def _g17_tables() -> _G17Tables:
             lo.append((den - num * n) / (den * n))
     hi = np.array(hi)
     c = _SPLIT * hi
-    hi_top = c - (c - hi)
+    exponent = 16 - np.arange(_POW10_MIN, 298)
+    # the e of each class's layout, e = 0 for _SCI and _SLOW
+    es = list(range(-4, 17)) + [0, 0]
+    lead = np.array([(("-0." + "0" * (-e - 1) + d) if e < 0 else
+                      ("-" + d + ".")).rjust(8, "\0").encode("ascii")
+                     for e in es for d in "0123456789"])
     i = np.arange(10000)
-    words = (np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
-             + ord("0")).astype(np.uint8)
-    nd = np.arange(18)
-    end = np.zeros((23, 18), np.intp)
-    for c in range(-4, 17):
-        end[c + 4] = np.where(nd > c + 1, nd + 2, c + 2) if c >= 0 \
-            else 2 - c + nd
-    end[21] = end[4]
-    masks = np.zeros((2, _TEXT_WIDTH + 1, _TEXT_WIDTH), np.uint8)
-    for start in (0, 1):
+    words = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10],
+                     axis=1) + ord("0")
+    # the last kept digit is 16 - zeros, at column 23 - zeros; the "." at
+    # 7 + e is kept when a digit follows it
+    zeros = np.arange(17)
+    end = np.array([np.where((e < 0) | (16 - zeros > e), 24 - zeros, 7 + e)
+                    for e in es])
+    masks = np.zeros((_TEXT_WIDTH + 1, _TEXT_WIDTH + 1, _TEXT_WIDTH),
+                     np.uint8)
+    for start in range(_TEXT_WIDTH + 1):
         for stop in range(start, _TEXT_WIDTH + 1):
             masks[start, stop, start:stop] = 1
+    es = np.array(es)
     return _G17Tables(
-        hi, hi_top, hi - hi_top, np.array(lo),
-        words.view(np.uint32).ravel(),
-        np.cumprod(words[:, ::-1] == ord("0"), axis=1).sum(axis=1).astype(
-            np.int8),
-        end.ravel(), masks.view(f"V{_TEXT_WIDTH}").ravel())
+        hi, c - (c - hi), np.array(lo),
+        np.where((exponent < -4) | (exponent > 16), _SCI, exponent + 4),
+        lead.view(np.uint64), words.astype(np.uint8).view(np.uint32).ravel(),
+        np.cumprod(words[:, ::-1] == ord("0"), axis=1).sum(axis=1),
+        5 + np.minimum(es, 0), np.maximum(es, 0), end.ravel(),
+        masks.view(f"V{_TEXT_WIDTH}").ravel())
 
 
 def _times_pow10(a: np.ndarray, i: np.ndarray,
@@ -160,109 +178,120 @@ def _times_pow10(a: np.ndarray, i: np.ndarray,
     # plus a lo; i indexes k in the tables
     hi = tables.hi[i]
     p = a * hi
-    c = _SPLIT * a
-    ah = c - (c - a)
+    ah = _SPLIT * a
+    ah -= ah - a
     al = a - ah
-    hh, hl = tables.hi_top[i], tables.hi_low[i]
-    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * tables.lo[i]
+    hh = tables.hi_top[i]
+    hl = hi - hh
+    # ((ah hh - p) + ah hl + al hh) + al hl + a lo, summed left to right
+    t = ah * hh
+    t -= p
+    t += ah * hl
+    t += al * hh
+    t += al * hl
+    t += a * tables.lo[i]
+    return p, t
 
 
-def _g17(v: np.ndarray, sep: int, text: np.ndarray) -> np.ndarray:
-    """Write the text of _FLOAT % x and then the byte sep for each x in v to
-    the rows of text, and return the index of each row's mask in
-    _g17_tables().masks."""
-    tables = _g17_tables()
-    digits = tables.digits
-    n = len(v)
+def _decimal(v: np.ndarray, tables: _G17Tables
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # D, the index of 10^(16-e) in the tables and the class of layout of
+    # each value in v
     a = np.abs(v)
     fast = (a >= 1e-280) & (a <= 1e280)
     a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)
-    p, t = _times_pow10(a, (16 - _POW10_MIN) - e, tables)
-    # log10 may miss e by one next to a power of ten
-    shift = (((p > 1e17) | ((p == 1e17) & (t >= 0))).view(np.int8)
-             - ((p < 1e16) | ((p == 1e16) & (t < 0))).view(np.int8))
-    redo = np.flatnonzero(shift)
-    if redo.size:
-        e[redo] += shift[redo]
-        p[redo], t[redo] = _times_pow10(a[redo], (16 - _POW10_MIN) - e[redo],
-                                        tables)
-    whole = np.floor(t)
-    frac = t - whole
-    fast &= np.abs(frac - 0.5) > 1e-6
-    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    carry = d == 10 ** 17
+    k = (16 - _POW10_MIN) - np.floor(np.log10(a)).astype(np.intp)
+    p, t = _times_pow10(a, k, tables)
+    # log10 may miss e by one next to a power of ten, where p is not inside
+    # (1e16, 1e17); there p and t decide, and the product is formed again
+    edge = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    if edge.size:
+        pe, te = p[edge], t[edge]
+        k[edge] += (((pe < 1e16) | ((pe == 1e16) & (te < 0))).view(np.int8)
+                    - ((pe > 1e17) | ((pe == 1e17) & (te >= 0))).view(np.int8))
+        p[edge], t[edge] = _times_pow10(a[edge], k[edge], tables)
+    r = np.rint(t)
+    fast &= np.abs(t - r) < 0.5 - 1e-6
+    d = p.astype(np.int64) + r.astype(np.int64)
+    carry = np.flatnonzero(d == 10 ** 17)
     d[carry] = 10 ** 16
-    e += carry
+    k[carry] -= 1
+    return d, k, np.where(fast, tables.layout[k], _SLOW)
 
-    # layout class: e + 4 in fixed notation, 21 scientific, 22 fallback;
-    # from here on the rows are in the order of their classes
-    layout = np.where(fast, np.where((e < -4) | (e > 16), 21, e + 4), 22)
-    order = np.argsort(layout.astype(np.int8), kind="stable")
-    counts = np.bincount(layout, minlength=23)
-    first = np.cumsum(counts) - counts
-    d, e, v, layout = d[order], e[order], v[order], layout[order]
 
-    # the digits in groups of 4, the first group d0 alone, as bytes (d0 the
-    # last of its 4), and the end of each text from its class and the count
-    # of digits through the last nonzero one
-    groups = np.empty((n, 5), np.int32)
+def _rows(v: np.ndarray, seps: np.ndarray, tables: _G17Tables
+          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the text of each value in v and its separator in a row of text, and
+    # the columns where the text starts and where the separator is
+    n = len(v)
+    d, k, layout = _decimal(v, tables)
+    # d0, then the digits after it in groups of 4, split off in place
+    d0 = d // 10 ** 16
+    d -= d0 * 10 ** 16
     top = d // 10 ** 8
-    low = (d - top * 10 ** 8).astype(np.int32)
-    top = top.astype(np.int32)
-    groups[:, 0] = q = top // 10 ** 8
-    top -= q * 10 ** 8
-    groups[:, 1] = q = top // 10 ** 4
-    groups[:, 2] = top - q * 10 ** 4
-    groups[:, 3] = q = low // 10 ** 4
-    groups[:, 4] = low - q * 10 ** 4
-    x = digits[groups].view(np.uint8).reshape(n, 20)[:, 3:]
-    zeros = tables.zeros[groups[:, 4]]
-    for j in (3, 2, 1):
-        more = np.flatnonzero(zeros == 4 * (4 - j))
-        zeros[more] += tables.zeros[groups[more, j]]
-    end = tables.end[layout * 18 + 17 - zeros]
+    d -= top * 10 ** 8
+    groups = [top // 10 ** 4, top, d // 10 ** 4, d]
+    top -= groups[0] * 10 ** 4
+    d -= groups[2] * 10 ** 4
+    words = np.empty((n, _TEXT_WIDTH // 4), np.uint32)
+    words.view(np.uint64)[:, 0] = tables.lead[layout * 10 + d0]
+    for j, g in enumerate(groups):
+        words[:, j + 2] = tables.digits[g]
+    text = words.view(np.uint8)
+    flat = text.ravel()
+    # the count of trailing zeros of D, a group at a time while any row has
+    # only zeros so far
+    zeros = tables.zeros[groups[3]]
+    for j in (2, 1, 0):
+        more = np.flatnonzero(zeros == 4 * (3 - j))
+        if not more.size:
+            break
+        zeros[more] += tables.zeros[groups[j][more]]
+    end = tables.end[layout * 17 + zeros]
 
-    out = np.empty((n, _TEXT_WIDTH), np.uint8)
-    out[:, 0] = ord("-")
-    for k in np.flatnonzero(counts[:22]):
-        rows = slice(first[k], first[k] + counts[k])
-        c = 0 if k == 21 else k - 4
-        if c >= 0:
-            out[rows, 1:c + 2] = x[rows, :c + 1]
-            out[rows, c + 2] = ord(".")
-            out[rows, c + 3:19] = x[rows, c + 1:]
-        else:
-            out[rows, 1:2 - c] = np.frombuffer(b"0." + b"0" * (-c - 1),
-                                               np.uint8)
-            out[rows, 2 - c:19 - c] = x[rows]
-    flat = out.ravel()
-    sci = slice(first[21], first[22])
-    if counts[21]:
+    # e >= 1: the e digits after d0 move one column left, and the "."
+    # follows them
+    head = tables.head[layout]
+    for j in range(1, head.max() + 1):
+        np.copyto(text[:, 6 + j], text[:, 7 + j], where=head >= j)
+    moved = np.flatnonzero(head)
+    text[moved, 7 + head[moved]] = ord(".")
+    rows = np.arange(0, n * _TEXT_WIDTH, _TEXT_WIDTH)
+    sci = np.flatnonzero(layout == _SCI)
+    if sci.size:
         # "e", the sign, and the last 2 or 3 of the exponent's 4 digits,
         # written before the sign so that a leading 0 lands under it
-        exp = np.abs(e[sci])
+        e = (16 - _POW10_MIN) - k[sci]
+        exp = np.abs(e)
         three = exp >= 100
-        at = np.arange(first[21], first[22]) * _TEXT_WIDTH + end[sci]
-        exp_digits = digits[exp].view(np.uint8).reshape(-1, 4)
+        at = rows[sci] + end[sci]
+        exp_digits = tables.digits[exp].view(np.uint8).reshape(-1, 4)
         for j in (1, 2, 3):
             flat[at + three + j] = exp_digits[:, j]
-        flat[at + 1] = np.where(e[sci] < 0, ord("-"), ord("+"))
+        flat[at + 1] = np.where(e < 0, ord("-"), ord("+"))
         flat[at] = ord("e")
         end[sci] += 4 + three
-    slow = slice(first[22], n)
-    if counts[22]:
-        words = [(_FLOAT % y).encode() for y in v[slow].tolist()]
-        out[slow] = np.array(words, f"S{_TEXT_WIDTH}").view(
+    start = tables.sign[layout] + (v > 0)
+    slow = np.flatnonzero(layout == _SLOW)
+    if slow.size:
+        texts = [(_FLOAT % y).encode() for y in v[slow].tolist()]
+        text[slow] = np.array(texts, f"S{_TEXT_WIDTH}").view(
             np.uint8).reshape(-1, _TEXT_WIDTH)
-        end[slow] = [len(w) for w in words]
-    flat[np.arange(0, n * _TEXT_WIDTH, _TEXT_WIDTH) + end] = sep
-    text.view(f"V{_TEXT_WIDTH}")[order] = out.view(f"V{_TEXT_WIDTH}")
-    start = v > 0
-    start[slow] = False
-    keep = np.empty(n, np.intp)
-    keep[order] = start * (_TEXT_WIDTH + 1) + end + 1
-    return keep
+        end[slow] = [len(w) for w in texts]
+        start[slow] = 0
+    flat[rows + end] = seps
+    return text, start, end
+
+
+def _g17(v: np.ndarray, seps: np.ndarray) -> bytes:
+    """The text of _FLOAT % x followed by the byte sep, for each x in v and
+    sep in seps, in order."""
+    tables = _g17_tables()
+    # the temporaries of _rows are freed before the mask and the kept bytes
+    # are made, which lowers the peak of a block by about a quarter
+    text, start, end = _rows(v, seps, tables)
+    keep = tables.masks[start * (_TEXT_WIDTH + 1) + end + 1]
+    return text.ravel()[keep.view(bool)].tobytes()
 
 
 def _float_csv(path: Optional[Path], header: Sequence[str],
@@ -270,21 +299,16 @@ def _float_csv(path: Optional[Path], header: Sequence[str],
     # columns are float arrays of equal length, one per header name.  The
     # rows are written in blocks of _BLOCK_ROWS, so the text held at once is
     # a block's; each value reads _FLOAT % v, with "," between the values of
-    # a row and "\n" after each row
-    masks = _g17_tables().masks
-    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    # a row and "\n" after each row.  _g17 formats a block in one call, on
+    # its values row by row
+    seps = np.tile(np.array([ord(",")] * (len(columns) - 1) + [ord("\n")],
+                            np.uint8), _BLOCK_ROWS)
     with _opened(path) as stream:
         stream.write(",".join(header) + "\n")
         for b in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [np.asarray(c[b:b + _BLOCK_ROWS], np.float64)
-                     for c in columns]
-            text = np.empty((len(block[0]), len(block), _TEXT_WIDTH),
-                            np.uint8)
-            keep = np.empty(text.shape[:2], np.intp)
-            for j, (v, sep) in enumerate(zip(block, seps)):
-                keep[:, j] = _g17(v, sep, text[:, j])
-            stream.write(text.ravel()[masks[keep.ravel()].view(bool)]
-                         .tobytes().decode("ascii"))
+            block = np.stack([np.asarray(c[b:b + _BLOCK_ROWS], np.float64)
+                              for c in columns], axis=1).ravel()
+            stream.write(_g17(block, seps[:len(block)]).decode("ascii"))
 
 
 def _json_out(path: Optional[Path], payload: dict) -> None:

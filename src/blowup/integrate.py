@@ -102,9 +102,10 @@ DEFAULT_ABS_TOL = 1e-12
 #: dense samples of _with_samples, the rows of cli._float_csv and the cells
 #: of model.weighted_g_square_integral.  On the 78,935 rows of
 #: `blowup profile --m 2 --sigma 0.1 --xi0 78.624` the writer's tracemalloc
-#: peak is 0.41, 1.6, 6.4 and 26 MB at 1,024, 4,096, 16,384 and 65,536 rows
-#: per block and its time 179, 79, 78 and 112 ms; the shot's time (20 ms)
-#: does not move between 256 rows and one block
+#: peak is 0.82, 3.1, 12 and 48 MB at 1,024, 4,096, 16,384 and 65,536 rows
+#: per block, and its time 45, 38, 63 and 64 ms, in a CLI process after the
+#: shot; the shot's time (16-19 ms) does not move between 1,024 rows and one
+#: block
 _BLOCK_ROWS = 4096
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10),
@@ -606,16 +607,24 @@ def _with_samples(ts: List[float], ys: List[Sequence[float]],
             & (direction * (t[j] - samples)
                > 1e-12 * np.maximum(1.0, np.abs(t[j]))))
     samples, j = samples[keep], j[keep]
+    # the merged trajectory: sample i lands before the step end j[i], in
+    # row j[i] + i, and step end i after the samples with j <= i
+    y_out = np.empty((len(t) + len(j), y.shape[1]))
     h, q = (np.asarray(v) for v in zip(*steps))
-    values = np.empty((len(samples), y.shape[1]))
     for b in range(0, len(samples), _BLOCK_ROWS):
         # a block's steps, its x and its coefficients as (8, rows,
         # components), x broadcast over components
         rows = slice(b, b + _BLOCK_ROWS)
         k = j[rows] - 1
-        values[rows] = _dense_poly(((samples[rows] - t[k]) / h[k])[:, None],
-                                   q[k].transpose(2, 0, 1))
-    return np.insert(t, j, samples), np.insert(y, j, values, axis=0)
+        y_out[j[rows] + np.arange(b, b + len(k))] = _dense_poly(
+            ((samples[rows] - t[k]) / h[k])[:, None], q[k].transpose(2, 0, 1))
+    ends = np.arange(len(t))
+    ends += np.searchsorted(j, ends, side="right")
+    y_out[ends] = y
+    t_out = np.empty(len(y_out))
+    t_out[j + np.arange(len(j))] = samples
+    t_out[ends] = t
+    return t_out, y_out
 
 
 # --------------------------------------------------------------------------

@@ -153,6 +153,43 @@ class TestFloatCsvText:
             assert abs(Fraction(h) + Fraction(l) - exact) <= exact * 2 ** -104
 
 
+class TestFloatCsvBlockPass:
+    """_float_csv formats a block in one pass over all its columns, row by
+    row, so the values of one pass fall in different layout classes: fixed
+    and scientific notation, and the values written by _FLOAT % v."""
+
+    @staticmethod
+    def _table(n):
+        rng = np.random.default_rng(n)
+        return np.stack([
+            # the dense-sample grid k dx of a forward shot from 0
+            0.02 * np.arange(n),
+            # scientific, from 1e-300 to 1e-6
+            rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-300, -5, n),
+            np.resize([np.nan, np.inf, -np.inf, 0.0, -0.0], n),
+            # negative, fixed notation
+            -rng.uniform(1e-3, 1e3, n),
+            # 1e17 and up: scientific, past the 17 integer digits of 1e16
+            rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(17, 300, n),
+        ], axis=1)
+
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                   _BLOCK_ROWS + 1])
+    def test_mixed_classes(self, n):
+        table = self._table(n)
+        assert _written(table) == _percent(table)
+
+    def test_exponent_next_to_a_power_of_ten(self):
+        # the exponent is decided before the digits are rounded: 1e-280 is
+        # 9.99999999999999960e-281, and its 17 digits at the exponent -280
+        # round up to 10^16, the digits of 1e-280
+        table = np.array([[1e23, 1e-280, 1e16, 1e-5]])
+        assert _written(table) == ("9.9999999999999992e+22,"
+                                   "9.9999999999999996e-281,"
+                                   "10000000000000000,"
+                                   "1.0000000000000001e-05\n")
+
+
 class TestProfileCommand:
     def test_forward_sigma0(self, tmp_path, capsys):
         # the sigma=0 interface amplitude must be given to full precision:
